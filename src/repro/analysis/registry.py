@@ -33,7 +33,7 @@ DECLARED_ENV_VARS: Dict[str, str] = {
     "REPRO_COND_WORKERS": "process-condition fan-out worker threads",
     "REPRO_WORKER_BUDGET": "global cap on cond workers x FFT workers",
     # -- array backend (read by repro.optics.backend) ------------------
-    "REPRO_BACKEND": "array backend selection: numpy|torch|cupy|strict",
+    "REPRO_BACKEND": "array backend selection: numpy|torch|strict",
     # -- resilience knobs (read by repro.harness.resilience) -----------
     "REPRO_CELL_TIMEOUT": "harness per-cell wall-clock timeout in seconds (0 = off)",
     "REPRO_MAX_RETRIES": "harness per-cell retry budget for transient faults",

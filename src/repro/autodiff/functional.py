@@ -553,38 +553,29 @@ def incoherent_image_composed(
     return reshape(out, (n, n)) if single else out
 
 
-def _conj_pair_reps(conj_pairs: Any, s: int) -> np.ndarray:
-    """Validate an involutive conjugate pairing; return representatives.
+def _pair_setup(
+    conj_pairs: Any, s: int, real_path: bool
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Validate a conjugate pairing; return ``(cp, reps)`` or ``(None, None)``.
 
     ``conj_pairs[i] = j`` declares ``kernel_j(f) == kernel_i(-f)``; the
     map must be an involution over ``range(s)``.  Representatives are
     the indices with ``conj_pairs[i] >= i`` (each pair's lower index,
-    plus every self-paired kernel).
+    plus every self-paired kernel).  A supplied pairing is always
+    validated, but *used* only on the all-real path (``real_path``),
+    where the conjugate field identity ``F_{-sigma} = conj(F_{+sigma})``
+    holds.
     """
+    if conj_pairs is None:
+        return None, None
     cp = np.asarray(conj_pairs)
     if cp.shape != (s,) or not np.issubdtype(cp.dtype, np.integer):
         raise ValueError(f"conj_pairs must be ({s},) integer; got {cp.shape}")
     if not np.array_equal(cp[cp], np.arange(s)):
         raise ValueError("conj_pairs must be an involution over range(S)")
-    return np.nonzero(cp >= np.arange(s))[0]
-
-
-def _pair_setup(
-    conj_pairs: Any, s: int, real_path: bool
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Validate a pairing and decide whether the streamed loops may use it.
-
-    The involution is always validated when a pairing is supplied; it is
-    *used* only on the all-real path (``real_path``) where the conjugate
-    field identity ``F_{-sigma} = conj(F_{+sigma})`` holds.  Returns
-    ``(cp, reps)`` or ``(None, None)``.
-    """
-    if conj_pairs is None:
-        return None, None
-    reps_all = _conj_pair_reps(conj_pairs, s)
     if not real_path:
         return None, None
-    return np.asarray(conj_pairs), reps_all
+    return cp, np.nonzero(cp >= np.arange(s))[0]
 
 
 def _stream_forward_one(
@@ -748,149 +739,14 @@ def incoherent_image(
 ) -> Tensor:
     """Fused weighted incoherent sum ``I[b] = sum_s w_s |IFFT2(H_s FFT2(M_b))|^2``.
 
-    One graph node replaces the six composed ops of
-    :func:`incoherent_image_composed`.  The forward streams over
-    source-axis chunks of ``chunk`` kernels (default
-    :func:`repro.optics.fftlib.get_stream_chunk`): each chunk is one
-    transient ``(B, chunk, N, N)`` transform block, so peak working
-    memory is ``O(B * chunk * N^2)`` instead of the composed path's
-    several *retained* ``O(B * S * N^2)`` intermediates; only the
-    ``(B, N, N)`` mask spectra are saved for the backward pass.
-
-    The hand-written VJP *recomputes* the per-chunk coherent fields
-    instead of retaining the field stack, emitting mask gradients
-
-    ``gM[b] = IFFT2( sum_s conj(H_s) * FFT2(2 w_s g[b] F[b,s]) )``
-
-    (the backward-normalization factors cancel) and weight gradients
-    ``gw[s] = sum_b <g[b], |F[b,s]|^2>`` with the same streamed chunk
-    loop.  ``mask`` may be real or complex, single ``(N, N)`` or
-    batched ``(B, N, N)``; ``weights`` must be real (pass normalized
-    source weights for Abbe, SOCS eigenvalues for Hopkins); the pupil
-    stack is treated as a constant (no gradient).
-
-    Conjugate-pair streaming: ``conj_pairs`` declares the frequency-
-    reversal pairing ``kernel_{conj_pairs[s]}(f) == kernel_s(-f)``
-    (Abbe's shifted pupils for a point-symmetric source grid satisfy
-    it; see ``AbbeImaging``).  For a *real* mask and *real* kernels the
-    paired field is the complex conjugate of its mate's — ``F[b,s'] ==
-    conj(F[b,s])`` — so only one kernel per pair is transformed and
-    both weights ride the shared field, halving the FFT work in the
-    forward and in the streamed VJP (the mirrored gradient term is
-    recovered with one frequency reversal per backward).  The pairing
-    is ignored (exact fallback) for complex masks, complex kernels, or
-    a complex upstream gradient.
-
-    Double backward: the streamed VJP returns graph-free gradients, so
-    when the backward pass itself must be differentiable — ``ad.grad(...,
-    create_graph=True)`` in the BiSMO HVP/mixed-JVP oracles and the
-    unroll path — the VJP detects grad-recording mode and falls back to
-    rebuilding the exact composed-op gradient expressions, which carry
-    their own graph.  The fallback costs the composed path's memory but
-    only runs where second-order products are requested.
+    The one-condition case of :func:`incoherent_image_stack` (same
+    streamed forward, VJP and chunk fallback; no condition axis in the
+    output), replacing the six ops of :func:`incoherent_image_composed`.
+    ``conj_pairs`` is the stack's optional ``+/-sigma`` pairing.
     """
-    mask = as_tensor(mask)
-    pupil_stack = as_tensor(pupil_stack)
-    weights = as_tensor(weights)
-    s, n = _check_incoherent_args(mask, pupil_stack, weights)
-    fl = _get_fftlib()
-    bk = _get_backend().active_backend()
-    csize = fl.get_stream_chunk() if chunk is None else int(chunk)
-    if csize < 1:
-        raise ValueError(f"chunk must be >= 1; got {csize}")
-    cp, reps = _pair_setup(
-        conj_pairs, s, not mask.is_complex and not pupil_stack.is_complex
+    return _incoherent_stack(
+        mask, (pupil_stack,), weights, chunk, (conj_pairs,), stacked=False
     )
-    single = mask.ndim == 2
-    tiles = mask.data[None] if single else mask.data
-    # (B, N, N) spectra — the only saved activation (a backend array;
-    # the VJP closure reuses both it and the backend that produced it).
-    with _obs_span("imaging.forward", op="incoherent_image", s=s, n=n):
-        fm = bk.fft2(bk.from_host(tiles))
-        out = _stream_forward_one(
-            bk, fm, pupil_stack.data, weights.data, csize, cp, reps
-        )
-    out_data = out[0] if single else out
-
-    def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        if is_grad_enabled():
-            # create_graph backward: fall back to the composed-op
-            # gradient expressions so the returned grads are themselves
-            # differentiable (exact HVPs / unroll hypergradients).
-            return _incoherent_vjp_composed(g, mask, pupil_stack, weights)
-        return _incoherent_vjp_streamed(
-            bk, g, mask, pupil_stack, weights, fm, csize, cp, reps
-        )
-
-    return _make(
-        out_data, (mask, pupil_stack, weights), vjp, "incoherent_image"
-    )
-
-
-def _incoherent_vjp_streamed(
-    bk: Any,
-    g: Tensor,
-    mask: Tensor,
-    pupil_stack: Tensor,
-    weights: Tensor,
-    fm: Any,
-    csize: int,
-    cp: Any,
-    reps: Any,
-) -> Tuple[Optional[Tensor], ...]:
-    """Graph-free streamed gradients (first-order backward hot path)."""
-    host = _get_backend().HOST
-    s = pupil_stack.shape[0]
-    single = mask.ndim == 2
-    gd = g.data[None] if single else g.data
-    need_mask = mask.requires_grad
-    gw: Any = (
-        host.zeros(
-            s, np.complex128 if np.iscomplexobj(gd) else np.float64
-        )
-        if weights.requires_grad
-        else None
-    )
-    with _obs_span("imaging.vjp", op="incoherent_image", s=s):
-        acc = _stream_backward_one(
-            bk, gd, fm, pupil_stack.data, weights.data, csize, cp, reps,
-            need_mask, gw,
-        )
-        gm_out = None
-        if need_mask:
-            gm = bk.to_host(bk.ifft2(acc, overwrite_x=True))
-            gm_out = Tensor(gm[0] if single else gm)
-    return (gm_out, None, Tensor(gw) if gw is not None else None)
-
-
-def _incoherent_vjp_composed(
-    g: Tensor, mask: Tensor, pupil_stack: Tensor, weights: Tensor
-) -> Tuple[Optional[Tensor], ...]:
-    """Differentiable gradients via the composed ops (create_graph path).
-
-    Rebuilds the coherent fields with graph-recording functional ops and
-    expresses the exact gradient formulas with them, so the returned
-    tensors can be differentiated again (the property BiSMO's exact
-    HVP / mixed-JVP oracles and the unroll path rely on).
-    """
-    s, n = pupil_stack.shape[0], pupil_stack.shape[-1]
-    single = mask.ndim == 2
-    m3 = reshape(mask, (1, n, n)) if single else mask
-    b = m3.shape[0]
-    g4 = reshape(g, (1, 1, n, n)) if single else reshape(g, (b, 1, n, n))
-    p4 = reshape(pupil_stack, (1, s, n, n))
-    fields = ifft2(mul(p4, reshape(fft2(m3), (b, 1, n, n))))  # (B, S, N, N)
-    gm_out: Optional[Tensor] = None
-    gw_out: Optional[Tensor] = None
-    if weights.requires_grad:
-        gw_out = sum(mul(g4, abs2(fields)), axis=(0, 2, 3))
-    if mask.requires_grad:
-        wf = reshape(weights, (1, s, 1, 1))
-        gfields = mul(mul(g4, 2.0), mul(wf, fields))
-        # The fft2/ifft2 backward-normalization factors cancel exactly.
-        gm = ifft2(sum(mul(fft2(gfields), conj(p4)), axis=1))
-        gm_out = reshape(gm, (n, n)) if single else gm
-    return (gm_out, None, gw_out)
 
 
 def incoherent_image_stack(
@@ -902,42 +758,67 @@ def incoherent_image_stack(
 ) -> Tensor:
     """Multi-condition fused incoherent imaging sharing ONE mask FFT.
 
-    Computes ``out[f] = sum_s w_s |IFFT2(H^f_s FFT2(M))|^2`` for a
-    *sequence* of F kernel stacks — the process-condition axis: each
-    stack is the shifted-pupil (or SOCS kernel) stack at one focus
-    condition, all sharing the same ``(S,)`` weights.  Output shape is
-    ``(F, B, N, N)`` for a batched mask, ``(F, N, N)`` for a single
-    tile.
+    Computes ``out[f] = sum_s w_s |IFFT2(H^f_s FFT2(M))|^2`` for F
+    kernel stacks (the process-condition axis), all sharing the real
+    ``(S,)`` weights (normalized source weights for Abbe, SOCS
+    eigenvalues for Hopkins); the stacks are constants.  ``mask`` is
+    real or complex, ``(N, N)`` or ``(B, N, N)``; the output is
+    ``(F, [B,] N, N)``.  Nominal imaging is the ``F == 1`` case
+    (:func:`incoherent_image`).
 
-    The mask spectrum ``FFT2(M)`` is computed once and streamed through
-    every stack (and, in the hand-written VJP, every stack's recomputed
-    chunks accumulate into one frequency-domain mask gradient closed by
-    a single final IFFT) — evaluating F conditions costs F streamed
-    kernel passes plus *one* mask transform, not F independent
-    :func:`incoherent_image` calls.
+    Streaming: ``FFT2(M)`` — the only saved activation — is computed
+    once and streamed through every stack in source-axis chunks of
+    ``chunk`` kernels (default :func:`repro.optics.fftlib.
+    get_stream_chunk`), so peak working memory is one transient
+    ``(B, chunk, N, N)`` block instead of the composed graph's retained
+    ``O(B * S * N^2)`` intermediates.  A ``MemoryError`` in a stack's
+    pass halves the chunk and retries once
+    (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
 
-    ``conj_pairs`` is an optional per-stack sequence: real stacks (zero
-    defocus) may carry the ``+/-sigma`` frequency-reversal pairing and
-    get the half-FFT streaming; complex (defocused) stacks pass None —
-    the conjugate *field* identity needs real kernels even though the
-    structural pairing survives defocus (the defocus phase is even).
-    Under ``ad.grad(create_graph=True)`` the VJP falls back to
-    composed-op gradient expressions (sharing one ``fft2(mask)`` graph
-    node across stacks), so second-order products through the condition
-    axis stay exactly differentiable.
+    The hand-written VJP *recomputes* the per-chunk coherent fields,
+    emitting mask gradients
 
-    Condition parallelism: the per-stack streamed passes are independent
-    (they share only the read-only mask spectrum), so both the forward
-    and the streamed VJP fan them out across the
-    :func:`repro.optics.fftlib.map_conditions` thread pool
-    (``REPRO_COND_WORKERS`` / ``fftlib.set_condition_workers``; each
-    pool thread gets its share of the unified worker budget for its own
-    FFTs).  Every stack writes private buffers and the cross-stack
-    reductions run on the caller's thread in fixed stack order, so the
-    result is **bitwise identical** for any worker count — the
-    create_graph fallback and every oracle/gradcheck see the exact same
-    numbers as a serial run.
+    ``gM[b] = IFFT2( sum_f sum_s conj(H^f_s) * FFT2(2 w_s g[f,b] F[f,b,s]) )``
+
+    (normalization factors cancel; one frequency-domain accumulator for
+    all stacks, closed by a single IFFT) and weight gradients
+    ``gw[s] = sum_f sum_b <g[f,b], |F[f,b,s]|^2>``.
+
+    ``conj_pairs`` is an optional per-stack sequence; entry ``cp``
+    declares ``kernel_{cp[s]}(f) == kernel_s(-f)`` (Abbe's shifted
+    pupils on a point-symmetric source grid).  For a real mask and real
+    kernels the paired field is its mate's conjugate, so one kernel per
+    pair is transformed, halving the FFT work in both directions; the
+    pairing is ignored (exact fallback) for complex masks, complex
+    kernels or a complex upstream gradient.
+
+    Under ``ad.grad(create_graph=True)`` (BiSMO's HVP/mixed-JVP oracles,
+    the unroll path) the VJP falls back to composed-op gradient
+    expressions, so second-order products stay exactly differentiable.
+    The per-stack passes fan out across the
+    :func:`repro.optics.fftlib.map_conditions` pool with private
+    buffers and fixed-order reductions, so results are **bitwise
+    identical** for any worker count.
     """
+    return _incoherent_stack(
+        mask, pupil_stacks, weights, chunk, conj_pairs, stacked=True
+    )
+
+
+def _incoherent_stack(
+    mask: ArrayLike,
+    pupil_stacks: Sequence[ArrayLike],
+    weights: ArrayLike,
+    chunk: Optional[int],
+    conj_pairs: Optional[Sequence[Optional[np.ndarray]]],
+    stacked: bool,
+) -> Tensor:
+    """The one implementation behind both public primitives.
+
+    ``stacked=False`` drops the (length-one) condition axis from the
+    output and expects an upstream gradient without it.
+    """
+    op = "incoherent_image_stack" if stacked else "incoherent_image"
     mask = as_tensor(mask)
     weights = as_tensor(weights)
     stacks = tuple(as_tensor(p) for p in pupil_stacks)
@@ -964,15 +845,13 @@ def incoherent_image_stack(
     single = mask.ndim == 2
     tiles = mask.data[None] if single else mask.data
     b = tiles.shape[0]
-    # ONE (B, N, N) spectrum for every condition — a read-only backend
-    # array shared across the condition pool's threads.
-    fm = bk.fft2(bk.from_host(tiles))
     w = weights.data
+    # ONE (B, N, N) spectrum for every condition — a read-only backend
+    # array shared by the condition pool's threads and the VJP closure.
+    fm = bk.fft2(bk.from_host(tiles))
 
     def _forward_one(fi: int) -> np.ndarray:
         cp_f, reps_f = pair_info[fi]
-        # MemoryError inside the streamed block -> halve the chunk and
-        # retry once (chunk-invariant result, see fftlib).
         with _obs_span("engine.condition", index=fi):
             return fl.run_with_chunk_fallback(
                 lambda c: _stream_forward_one(
@@ -981,55 +860,58 @@ def incoherent_image_stack(
                 csize,
             )
 
-    # Independent per-stack passes: fan out across the condition pool
-    # (inline when serial) — each writes its own slot, so the stacking
-    # is bitwise identical for any thread count.
     out = _get_backend().HOST.empty((len(stacks), b, n, n), np.float64)
-    with _obs_span(
-        "imaging.forward", op="incoherent_image_stack", stacks=len(stacks)
-    ):
+    with _obs_span("imaging.forward", op=op, stacks=len(stacks), s=s, n=n):
         for fi, plane in enumerate(
             fl.map_conditions(_forward_one, len(stacks))
         ):
             out[fi] = plane
     out_data = out[:, 0] if single else out
+    if not stacked:
+        out_data = out_data[0]
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         if is_grad_enabled():
-            return _incoherent_stack_vjp_composed(g, mask, stacks, weights)
+            # create_graph backward: composed-op gradient expressions,
+            # themselves differentiable (exact HVPs / unroll).
+            per_stack = (
+                [getitem(g, fi) for fi in range(len(stacks))] if stacked else [g]
+            )
+            return _incoherent_stack_vjp_composed(
+                per_stack, mask, stacks, weights
+            )
+        gd = g.data if stacked else g.data[None]
         return _incoherent_stack_vjp_streamed(
-            bk, g, mask, stacks, weights, fm, csize, pair_info
+            bk, gd, mask, stacks, weights, fm, csize, pair_info, op
         )
 
-    return _make(
-        out_data, (mask,) + stacks + (weights,), vjp, "incoherent_image_stack"
-    )
+    return _make(out_data, (mask,) + stacks + (weights,), vjp, op)
 
 
 def _incoherent_stack_vjp_streamed(
     bk: Any,
-    g: Tensor,
+    gd: np.ndarray,
     mask: Tensor,
     stacks: Tuple[Tensor, ...],
     weights: Tensor,
     fm: Any,
     csize: int,
     pair_info: Tuple,
+    op: str,
 ) -> Tuple[Optional[Tensor], ...]:
     """Graph-free streamed gradients summed over the condition axis.
 
-    Each stack's backward pass runs with *private* accumulation buffers
-    (its own frequency-domain mask-gradient accumulator and its own
-    weight-gradient vector), fanned out across the condition pool; the
-    cross-stack reductions then run here in fixed stack order.  The
-    per-stack buffers make an N-thread backward bitwise identical to
-    the serial one — the reduction tree does not depend on scheduling.
+    ``gd`` is the ``(F, [B,] N, N)`` upstream gradient.  Each stack's
+    pass fills *private* buffers on the condition pool; the cross-stack
+    reductions run here in fixed stack order, so any thread count gives
+    bitwise-identical gradients.
     """
     fl = _get_fftlib()
     host = _get_backend().HOST
     s = stacks[0].shape[0]
     single = mask.ndim == 2
-    gd = g.data[:, None] if single else g.data  # (F, B, N, N)
+    if single:
+        gd = gd[:, None]  # (F, B, N, N)
     need_mask = mask.requires_grad
     need_w = weights.requires_grad
     gw_dtype = np.complex128 if np.iscomplexobj(gd) else np.float64
@@ -1051,36 +933,39 @@ def _incoherent_stack_vjp_streamed(
         with _obs_span("engine.condition", index=fi):
             return fl.run_with_chunk_fallback(_attempt, csize)
 
-    with _obs_span(
-        "imaging.vjp", op="incoherent_image_stack", stacks=len(stacks)
-    ):
+    with _obs_span("imaging.vjp", op=op, stacks=len(stacks), s=s):
         results = fl.map_conditions(_backward_one, len(stacks))
-    gw: Any = host.zeros(s, gw_dtype) if need_w else None
-    acc_total: Any = (
-        bk.zeros(tuple(fm.shape), bk.complex128) if need_mask else None
-    )
-    for acc, gw_f in results:  # fixed stack-order reduction
+        gw: Any = host.zeros(s, gw_dtype) if need_w else None
+        acc_total: Any = (
+            bk.zeros(tuple(fm.shape), bk.complex128) if need_mask else None
+        )
+        for acc, gw_f in results:  # fixed stack-order reduction
+            if need_mask:
+                acc_total += acc
+            if need_w:
+                gw += gw_f
+        gm_out = None
         if need_mask:
-            acc_total += acc
-        if need_w:
-            gw += gw_f
-    gm_out = None
-    if need_mask:
-        gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
-        gm_out = Tensor(gm[0] if single else gm)
+            gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
+            gm_out = Tensor(gm[0] if single else gm)
     return (gm_out,) + (None,) * len(stacks) + (
         Tensor(gw) if gw is not None else None,
     )
 
 
 def _incoherent_stack_vjp_composed(
-    g: Tensor, mask: Tensor, stacks: Tuple[Tensor, ...], weights: Tensor
+    per_stack: Sequence[Tensor],
+    mask: Tensor,
+    stacks: Tuple[Tensor, ...],
+    weights: Tensor,
 ) -> Tuple[Optional[Tensor], ...]:
-    """Differentiable gradients for the stack primitive (create_graph).
+    """Differentiable gradients via the composed ops (create_graph path).
 
-    Same strategy as :func:`_incoherent_vjp_composed`, applied per
-    condition with ONE shared ``fft2(mask)`` graph node, accumulating
-    mask/weight gradients across stacks with differentiable adds.
+    Rebuilds each condition's fields with graph-recording ops from ONE
+    shared ``fft2(mask)`` node and writes the exact gradient formulas
+    with them, so BiSMO's exact HVP / mixed-JVP oracles can
+    differentiate the result again.  ``per_stack[f]`` is condition
+    ``f``'s upstream gradient.
     """
     s, n = stacks[0].shape[0], stacks[0].shape[-1]
     single = mask.ndim == 2
@@ -1089,9 +974,8 @@ def _incoherent_stack_vjp_composed(
     fmr = reshape(fft2(m3), (b, 1, n, n))  # shared spectrum node
     gm_out: Optional[Tensor] = None
     gw_out: Optional[Tensor] = None
-    for fi, st in enumerate(stacks):
-        gf = getitem(g, fi)  # (B, N, N) or (N, N)
-        g4 = reshape(gf, (1, 1, n, n)) if single else reshape(gf, (b, 1, n, n))
+    for gf, st in zip(per_stack, stacks):
+        g4 = reshape(gf, (b, 1, n, n))
         p4 = reshape(st, (1, s, n, n))
         fields = ifft2(mul(p4, fmr))  # (B, S, N, N)
         if weights.requires_grad:

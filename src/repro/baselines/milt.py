@@ -38,7 +38,7 @@ class MultiLevelILT:
 
     ``target`` may be a single ``(N, N)`` tile or a ``(B, N, N)`` stack;
     a stack runs every level on the whole batch at once (one fused
-    ``incoherent_image`` node over the SOCS kernels per step) and
+    imaging node over the SOCS kernels per step) and
     records per-tile losses.
 
     ``process_window`` replaces the dose-only Eq. (9) loss with the

@@ -42,7 +42,7 @@ class NILTBaseline:
 
     ``target`` may be a single ``(N, N)`` tile or a ``(B, N, N)`` stack;
     a stack optimizes the whole mask batch jointly through the engine's
-    fused multi-tile forward — one ``incoherent_image`` node over the
+    fused multi-tile forward — one fused imaging node over the
     SOCS kernel stack per step — with per-tile losses in every record.
 
     ``process_window`` turns the objective into *robust printability*:

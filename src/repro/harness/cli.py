@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional
 
 from ..layouts import dataset_by_name, DATASET_NAMES
-from ..optics import ProcessWindow
+from ..optics import OpticalConfig, ProcessWindow
 from .figures import figure3_series, figure5_stats
 from .process_window import process_window_table, run_process_window
 from .report import (
@@ -38,6 +38,9 @@ from .runner import METHOD_ORDER, RunSettings, run_matrix
 from .tables import table3, table4
 
 __all__ = ["main", "build_parser"]
+
+#: Subcommands that sweep every dataset of Table 2.
+_SWEEP_COMMANDS = ("table3", "table4", "tables", "all")
 
 
 def _aberration_spec(text: str) -> dict:
@@ -264,8 +267,31 @@ def _obs_session(
                 print(obs.summary_table(obs.snapshot()), file=sys.stderr)
 
 
+def _check_scale(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject a preset whose optical tile does not fit the command's clips.
+
+    Every clip is rasterized onto the preset's tile; without this check
+    a mismatch surfaces mid-run as a traceback from ``tile_stack``.
+    """
+    try:
+        tile_nm = OpticalConfig.preset(args.scale).tile_nm
+    except KeyError as exc:
+        parser.error(str(exc.args[0]))
+    names = DATASET_NAMES if args.command in _SWEEP_COMMANDS else (args.dataset,)
+    for name in names:
+        clip_nm = dataset_by_name(name, num_clips=1).style.tile_nm
+        if abs(clip_nm - tile_nm) > 1e-9:
+            parser.error(
+                f"--scale {args.scale} images a {tile_nm:g} nm tile, but "
+                f"{name} clips are {clip_nm:g} nm; pick a scale with a "
+                f"{clip_nm:g} nm tile"
+            )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_scale(parser, args)
     out_dir: Optional[Path] = getattr(args, "out", None)
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,7 +313,7 @@ def _run_command(
     out_dir: Optional[Path],
     progress,
 ) -> int:
-    if args.command in ("table3", "table4", "tables", "all"):
+    if args.command in _SWEEP_COMMANDS:
         settings = _settings(args)
         methods = args.methods or METHOD_ORDER
         records = run_matrix(

@@ -7,12 +7,16 @@ coherent image intensity:
 
 Because every source point's contribution is independent, the whole sum
 is evaluated as ONE fused graph node — the same structure the paper
-exploits on a GPU (Section 3.1 "Abbe acceleration").  Since PR 3 that
-node is :func:`repro.autodiff.functional.incoherent_image`: the forward
-streams over source-axis chunks and the hand-written VJP recomputes the
-per-chunk coherent fields, so neither direction retains a ``(B, S, N,
-N)`` stack; all transforms dispatch through
-:mod:`repro.optics.fftlib`.  For real masks the engine additionally
+exploits on a GPU (Section 3.1 "Abbe acceleration").  That node is
+:func:`repro.autodiff.functional.incoherent_image_stack` over the
+process-condition axis: the forward streams over source-axis chunks and
+the hand-written VJP recomputes the per-chunk coherent fields, so
+neither direction retains a ``(B, S, N, N)`` stack; all transforms
+dispatch through :mod:`repro.optics.fftlib`.  Nominal imaging
+(:meth:`AbbeImaging.aerial` / :meth:`AbbeImaging.aerial_fast`) is the
+one-condition case of :meth:`AbbeImaging.aerial_conditions` /
+:meth:`AbbeImaging.aerial_conditions_fast` at the engine's own
+aberration, not a second path.  For real masks the engine additionally
 hands the primitive its verified ``+/-sigma`` conjugate pairing
 (``F_{-sigma} = conj(F_{+sigma})`` when the pupils are real), halving
 the FFT work in both directions.  A per-point Python loop
@@ -31,15 +35,20 @@ unless a custom source grid is supplied.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..obs import span as obs_span
 from .config import OpticalConfig
-from .engine import MaskLike, as_tile_batch, incoherent_sum_fast
+from .engine import (
+    MaskLike,
+    as_tile_batch,
+    composed_condition_stack,
+    condition_stack_fast,
+    drop_condition_axis,
+)
 from .source import SourceGrid
 
 __all__ = ["AbbeImaging"]
@@ -60,11 +69,11 @@ class AbbeImaging:
         cache, so engines with equal configs share one stack.
 
     fused:
-        When True (default) :meth:`aerial` is one fused
-        :func:`repro.autodiff.functional.incoherent_image` node with a
-        streamed hand-written VJP; ``False`` selects the pre-fusion
-        composed-op graph (kept as the parity/benchmark reference —
-        see ``benchmarks/bench_fused_imaging.py``).
+        When True (default) every differentiable image is one fused
+        :func:`repro.autodiff.functional.incoherent_image_stack` node
+        with a streamed hand-written VJP; ``False`` selects the
+        pre-fusion composed-op graph (kept as the parity/benchmark
+        reference — see ``benchmarks/bench_fused_imaging.py``).
 
     Both :meth:`aerial` arguments are autodiff tensors, so gradients flow
     to the mask *and* the source — the property that Hopkins/SOCS lacks
@@ -184,45 +193,23 @@ class AbbeImaging:
         return F.getitem(source, self._valid_index)
 
     def aerial(self, mask: ad.Tensor, source: Optional[ad.Tensor] = None) -> ad.Tensor:
-        """Aerial image intensity for mask(s) and source (N_j, N_j).
-
-        ``mask`` is a single ``(N, N)`` tile or a ``(B, N, N)`` tile
-        batch (a batch returns ``(B, N, N)`` intensities).  Differentiable
-        w.r.t. both arguments; intensity is normalized by the total
-        source weight (clear field -> 1.0).
-        """
-        if source is None:
-            raise ValueError("AbbeImaging.aerial requires a source image")
-        j = self.source_weights(source)
-        # Normalizing the (S,) weight vector instead of the (B, N, N)
-        # output keeps the division off the big array.
-        jn = F.div(j, F.add(F.sum(j), _EPS))
-        if self.fused:
-            return F.incoherent_image(
-                mask, self._pupil_stack, jn, conj_pairs=self._conj_pairs
-            )
-        return F.incoherent_image_composed(mask, self._pupil_stack, jn)
+        """Aerial image intensity for ``(N, N)`` / ``(B, N, N)`` mask(s)
+        and an ``(N_j, N_j)`` source: :meth:`aerial_conditions` at the
+        engine's own aberration.  Differentiable w.r.t. both; normalized
+        by the total source weight (clear field -> 1.0)."""
+        return drop_condition_axis(
+            self.aerial_conditions(mask, source, (self.aberration,))
+        )
 
     def aerial_fast(
         self, mask: MaskLike, source: Optional[MaskLike] = None
     ) -> np.ndarray:
-        """Inference fast path: no autodiff graph, zero-weight points pruned.
-
-        Numerically matches :meth:`aerial` (pruning a source point whose
-        weight is exactly zero is exact), operates on plain numpy arrays
-        and returns one.  This is the path behind ``images()``, metric
-        evaluation and the harness judge.
-        """
-        if source is None:
-            raise ValueError("AbbeImaging.aerial_fast requires a source image")
-        src = source.data if isinstance(source, ad.Tensor) else np.asarray(source)
-        src = np.asarray(src, dtype=np.float64)
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        j = src[self._valid_index]
-        out = incoherent_sum_fast(
-            tiles, self._pupil_stack.data, j, float(j.sum()) + _EPS
+        """Graph-free :meth:`aerial` on numpy arrays (zero-weight points
+        pruned, exactly): :meth:`aerial_conditions_fast` at the engine's
+        own aberration.  Behind ``images()``, metrics and the judge."""
+        return drop_condition_axis(
+            self.aerial_conditions_fast(mask, source, (self.aberration,))
         )
-        return out[0] if single else out
 
     # ------------------------------------------------------------------
     # process-condition axis
@@ -230,7 +217,7 @@ class AbbeImaging:
     def aerial_conditions(
         self,
         mask: ad.Tensor,
-        source: ad.Tensor,
+        source: Optional[ad.Tensor],
         conditions=(0.0,),
         *,
         focus_values=None,
@@ -246,42 +233,29 @@ class AbbeImaging:
         :meth:`repro.optics.zernike.PupilAberration.coerce` argument
         (``focus_values`` is the legacy keyword alias).  Single
         ``(N, N)`` masks return ``(F, N, N)``.  Differentiable w.r.t.
-        mask and source exactly like :meth:`aerial` (including
-        second-order products through the primitive's composed-op
-        ``create_graph`` fallback).  As with :meth:`aerial`,
-        ``fused=False`` engines build the composed-op reference graph
-        instead (one :func:`incoherent_image_composed` per condition,
-        scattered into the condition stack).
+        mask and source, second-order products included.  The ``(S,)``
+        weights are normalized instead of the output, keeping the
+        division off the big array.  ``fused=False`` engines build the
+        composed-op reference graph instead.
         """
         if focus_values is not None:
             conditions = focus_values
         if source is None:
-            raise ValueError("AbbeImaging.aerial_conditions requires a source")
+            raise ValueError("AbbeImaging requires a source image")
         j = self.source_weights(source)
         jn = F.div(j, F.add(F.sum(j), _EPS))
         stacks_pairs = self.condition_stacks(conditions)
+        stacks = [stack for stack, _ in stacks_pairs]
         if not self.fused:
-            aerials = [
-                F.incoherent_image_composed(mask, stack, jn)
-                for stack, _ in stacks_pairs
-            ]
-            shape = (len(aerials),) + aerials[0].shape
-            total = None
-            for fi, aerial in enumerate(aerials):
-                part = F.scatter(aerial, fi, shape)
-                total = part if total is None else F.add(total, part)
-            return total
+            return composed_condition_stack(mask, stacks, jn)
         return F.incoherent_image_stack(
-            mask,
-            [stack for stack, _ in stacks_pairs],
-            jn,
-            conj_pairs=[pairs for _, pairs in stacks_pairs],
+            mask, stacks, jn, conj_pairs=[pairs for _, pairs in stacks_pairs]
         )
 
     def aerial_conditions_fast(
         self,
         mask: MaskLike,
-        source: MaskLike,
+        source: Optional[MaskLike],
         conditions=(0.0,),
         *,
         focus_values=None,
@@ -290,34 +264,20 @@ class AbbeImaging:
         :meth:`aerial_conditions` numerically (inference/judge path).
         Per-condition passes fan out across the
         :func:`repro.optics.fftlib.map_conditions` thread pool."""
-        from . import fftlib
-
         if focus_values is not None:
             conditions = focus_values
         if source is None:
-            raise ValueError(
-                "AbbeImaging.aerial_conditions_fast requires a source"
-            )
+            raise ValueError("AbbeImaging requires a source image")
         src = source.data if isinstance(source, ad.Tensor) else np.asarray(source)
-        src = np.asarray(src, dtype=np.float64)
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        j = src[self._valid_index]
-        norm = float(j.sum()) + _EPS
-        stacks_pairs = self.condition_stacks(conditions)
-
-        def _one_condition(fi: int) -> np.ndarray:
-            with obs_span("engine.condition", index=fi):
-                return incoherent_sum_fast(
-                    tiles, stacks_pairs[fi][0].data, j, norm
-                )
-
-        with obs_span(
-            "engine.conditions", engine="abbe", n=len(stacks_pairs)
-        ):
-            out = np.stack(
-                fftlib.map_conditions(_one_condition, len(stacks_pairs))
-            )
-        return out[:, 0] if single else out
+        j = np.asarray(src, dtype=np.float64)[self._valid_index]
+        return condition_stack_fast(
+            mask,
+            self.config.mask_size,
+            [stack.data for stack, _ in self.condition_stacks(conditions)],
+            j,
+            float(j.sum()) + _EPS,
+            "abbe",
+        )
 
     def source_intensity_basis(
         self, masks: np.ndarray, pupil_stack: Optional[np.ndarray] = None

@@ -4,32 +4,26 @@ Every forward-model consumer in the codebase — the SMO objectives, the
 MO baselines, the benchmark harness — talks to a lithography simulator
 through the same small surface, the :class:`ImagingEngine` protocol:
 
-``aerial(mask, source=None)``
-    Differentiable aerial intensity.  ``mask`` may be a single ``(N, N)``
-    tile or a ``(B, N, N)`` stack of tiles; the batched form is evaluated
-    as one fused FFT stack rather than B independent passes (the paper's
-    Abbe batching, extended across tiles).  Engines whose source is baked
-    in (Hopkins/SOCS) take ``source=None``.
+``aerial_conditions(mask, source, conditions)``
+    A differentiable ``(F, B, N, N)`` aerial stack across distinct
+    pupil conditions — defocus floats or general
+    :class:`~repro.optics.zernike.PupilAberration` specs — evaluated as
+    one fused ``incoherent_image_stack`` node sharing a single
+    mask-spectrum FFT.  ``mask`` is one ``(N, N)`` tile or a
+    ``(B, N, N)`` batch, imaged as one fused FFT stack (the paper's
+    Abbe batching, extended across tiles).  Engines with a baked-in
+    source (Hopkins/SOCS) take ``source=None``.  Dose corners never
+    reach the engines: dose is an exact post-aerial ``dose**2`` scaling
+    applied by the resist model.
 
-``aerial_fast(mask, source=None)``
-    Inference-only fast path operating directly on numpy arrays: no
-    autodiff graph, no per-op tensor wrapping, and kernels/source points
-    with exactly zero weight are skipped (an *exact* reduction — a zero
-    weight contributes nothing to the incoherent sum).  Used by
-    ``images()``, metric evaluation and the harness judge.
-
-``aerial_conditions(mask, source, conditions)`` /
 ``aerial_conditions_fast(...)``
-    The process-condition axis: a ``(F, B, N, N)`` aerial stack across
-    the distinct pupil conditions of a :class:`~repro.optics.config.
-    ProcessWindow` — defocus floats or general
-    :class:`~repro.optics.zernike.PupilAberration` specs (astigmatism,
-    coma, spherical, raw phase maps) — evaluated as one fused
-    ``incoherent_image_stack`` node that shares a single mask-spectrum
-    FFT across all conditions.  Dose corners never reach the engines —
-    dose is an exact post-aerial ``dose**2`` scaling applied by the
-    resist model, so corners sharing an aberration share the entire
-    imaging pass.
+    The graph-free counterpart on numpy arrays; kernels/source points
+    with exactly zero weight are skipped (an *exact* reduction).  Used
+    by ``images()``, metric evaluation and the harness judge.
+
+``aerial(mask, source=None)`` / ``aerial_fast(...)``
+    Nominal imaging: the ``F == 1`` condition stack at the engine's own
+    aberration, condition axis dropped — one imaging path, not two.
 
 Routing every consumer through this protocol is what lets batching and
 caching (:mod:`repro.optics.cache`) land everywhere at once.
@@ -42,6 +36,8 @@ from typing import Optional, Protocol, Tuple, Union, runtime_checkable
 import numpy as np
 
 from .. import autodiff as ad
+from ..autodiff import functional as F
+from ..obs import span as obs_span
 from . import backend as abk
 from . import fftlib
 from .config import OpticalConfig
@@ -51,6 +47,9 @@ __all__ = [
     "MaskLike",
     "as_tile_batch",
     "incoherent_sum_fast",
+    "composed_condition_stack",
+    "condition_stack_fast",
+    "drop_condition_axis",
     "engine_for",
     "CONDITION_MEMO_MAX",
 ]
@@ -75,13 +74,16 @@ class ImagingEngine(Protocol):
     def aerial(
         self, mask: "ad.Tensor", source: Optional["ad.Tensor"] = None
     ) -> "ad.Tensor":
-        """Differentiable aerial image for ``(N, N)`` or ``(B, N, N)`` masks."""
+        """Differentiable aerial image for ``(N, N)`` or ``(B, N, N)``
+        masks: :meth:`aerial_conditions` at the engine's own aberration,
+        condition axis dropped."""
         ...
 
     def aerial_fast(
         self, mask: MaskLike, source: Optional[MaskLike] = None
     ) -> np.ndarray:
-        """Graph-free inference path, numerically matching :meth:`aerial`."""
+        """Graph-free nominal image: :meth:`aerial_conditions_fast` at
+        the engine's own aberration, condition axis dropped."""
         ...
 
     def aerial_conditions(
@@ -92,7 +94,7 @@ class ImagingEngine(Protocol):
     ) -> "ad.Tensor":
         """Differentiable ``(F, [B,] N, N)`` aerial stack across pupil
         conditions (defocus floats or aberration specs), sharing one
-        mask-spectrum FFT."""
+        mask-spectrum FFT — the one imaging path of the engine."""
         ...
 
     def aerial_conditions_fast(
@@ -101,8 +103,60 @@ class ImagingEngine(Protocol):
         source: Optional[MaskLike] = None,
         conditions=(0.0,),
     ) -> np.ndarray:
-        """Graph-free counterpart of :meth:`aerial_conditions`."""
+        """Graph-free counterpart of :meth:`aerial_conditions`,
+        numerically matching it."""
         ...
+
+
+def drop_condition_axis(stack):
+    """The nominal image of a one-condition ``(1, ...)`` aerial stack.
+
+    A reshape (a view for arrays, one cheap node for tensors), so the
+    nominal image is exactly the stack's only plane.
+    """
+    return stack.reshape(stack.shape[1:])
+
+
+def composed_condition_stack(
+    mask: "ad.Tensor", kernel_stacks, weights: "ad.Tensor"
+) -> "ad.Tensor":
+    """Composed-op reference for a condition stack (``fused=False``).
+
+    One :func:`~repro.autodiff.functional.incoherent_image_composed`
+    graph per kernel stack, scattered into the ``(F, ...)`` output: the
+    pre-fusion oracle the fused primitive is tested and benchmarked
+    against.
+    """
+    aerials = [F.incoherent_image_composed(mask, k, weights) for k in kernel_stacks]
+    shape = (len(aerials),) + aerials[0].shape
+    total = None
+    for fi, aerial in enumerate(aerials):
+        part = F.scatter(aerial, fi, shape)
+        total = part if total is None else F.add(total, part)
+    return total
+
+
+def condition_stack_fast(
+    mask: MaskLike,
+    mask_size: int,
+    kernel_stacks,
+    weights: np.ndarray,
+    norm: float,
+    engine: str,
+) -> np.ndarray:
+    """Graph-free ``(F, [B,] N, N)`` aerial stack, one
+    :func:`incoherent_sum_fast` pass per kernel stack, fanned out across
+    the :func:`repro.optics.fftlib.map_conditions` thread pool (the
+    engines' ``aerial_conditions_fast``)."""
+    tiles, single = as_tile_batch(mask, mask_size)
+
+    def _one_condition(fi: int) -> np.ndarray:
+        with obs_span("engine.condition", index=fi):
+            return incoherent_sum_fast(tiles, kernel_stacks[fi], weights, norm)
+
+    with obs_span("engine.conditions", engine=engine, n=len(kernel_stacks)):
+        out = np.stack(fftlib.map_conditions(_one_condition, len(kernel_stacks)))
+    return out[:, 0] if single else out
 
 
 def as_tile_batch(mask: MaskLike, mask_size: int) -> Tuple[np.ndarray, bool]:

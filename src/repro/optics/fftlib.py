@@ -26,7 +26,7 @@ hottest path.  ``fftlib`` centralizes the choice:
   backend single precision is best-effort (``np.fft`` computes in
   double internally).
 * **Streaming chunk** — the source-axis chunk size used by the fused
-  :func:`repro.autodiff.functional.incoherent_image` primitive
+  :func:`repro.autodiff.functional.incoherent_image_stack` primitive
   (``REPRO_FFT_CHUNK`` / :func:`set_stream_chunk`).
 * **Condition workers** — the thread fan-out across *process-condition*
   kernel stacks (``REPRO_COND_WORKERS`` / :func:`set_condition_workers`;

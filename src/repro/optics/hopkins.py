@@ -25,19 +25,27 @@ import scipy.sparse.linalg
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..obs import span as obs_span
 from .config import OpticalConfig
 from .engine import (
     CONDITION_MEMO_MAX,
     MaskLike,
-    as_tile_batch,
-    incoherent_sum_fast,
+    composed_condition_stack,
+    condition_stack_fast,
+    drop_condition_axis,
 )
 from .source import SourceGrid
 
 __all__ = ["HopkinsImaging", "build_tcc", "socs_kernels"]
 
 _EPS = 1e-12
+
+
+def _reject_source(source) -> None:
+    if source is not None:
+        raise ValueError(
+            "HopkinsImaging bakes the source into the TCC; "
+            "rebuild the engine to change it"
+        )
 
 
 def _support_indices(config: OpticalConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,8 +149,8 @@ class HopkinsImaging:
         a TCC re-assembly or re-decomposition (the identity behind
         :meth:`condition_kernels`).
     fused:
-        When True (default) :meth:`aerial` is one fused
-        :func:`repro.autodiff.functional.incoherent_image` node
+        When True (default) every differentiable image is one fused
+        :func:`repro.autodiff.functional.incoherent_image_stack` node
         (streamed forward, hand-written VJP); ``False`` selects the
         pre-fusion composed-op graph kept as the parity/benchmark
         reference.
@@ -229,38 +237,23 @@ class HopkinsImaging:
     def aerial(self, mask: ad.Tensor, source: Optional[ad.Tensor] = None) -> ad.Tensor:
         """Aerial image I = sum_q kappa_q |IFFT(Phi_q * FFT(M))|^2 (Eq. (4)).
 
-        ``mask`` is a single ``(N, N)`` tile or a ``(B, N, N)`` batch;
-        both ride one fused ``incoherent_image`` node (streamed over the
-        kernel axis, hand-written VJP).  ``source`` must be None: the
-        source is frozen into the TCC at construction.
+        The one-condition case of :meth:`aerial_conditions`, at the
+        engine's own aberration.  ``mask`` is a single ``(N, N)`` tile or
+        a ``(B, N, N)`` batch.  ``source`` must be None: the source is
+        frozen into the TCC at construction.
         """
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
-        if self.fused:
-            return F.incoherent_image(
-                mask, self._kernel_stack, self._weight_tensor
-            )
-        return F.incoherent_image_composed(
-            mask, self._kernel_stack, self._weight_tensor
+        return drop_condition_axis(
+            self.aerial_conditions(mask, source, (self.aberration,))
         )
 
     def aerial_fast(
         self, mask: MaskLike, source: Optional[MaskLike] = None
     ) -> np.ndarray:
-        """Graph-free inference path; zero eigenvalues are pruned (exact)."""
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        out = incoherent_sum_fast(
-            tiles, self._kernel_stack.data, self.weights, 1.0
+        """Graph-free inference path; zero eigenvalues are pruned (exact).
+        The one-condition case of :meth:`aerial_conditions_fast`."""
+        return drop_condition_axis(
+            self.aerial_conditions_fast(mask, source, (self.aberration,))
         )
-        return out[0] if single else out
 
     # ------------------------------------------------------------------
     # process-condition axis
@@ -284,29 +277,14 @@ class HopkinsImaging:
         be None (baked into the TCC); SOCS kernels carry no
         ``+/-sigma`` pairing, so no ``conj_pairs`` are passed.
         ``fused=False`` engines build the composed-op reference graph
-        instead (one :func:`incoherent_image_composed` per condition,
-        scattered into the condition stack) — the same A/B oracle
-        switch as :meth:`aerial`.
+        instead.
         """
         if focus_values is not None:
             conditions = focus_values
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
+        _reject_source(source)
         kernels = self.condition_kernels(conditions)
         if not self.fused:
-            aerials = [
-                F.incoherent_image_composed(mask, kern, self._weight_tensor)
-                for kern in kernels
-            ]
-            shape = (len(aerials),) + aerials[0].shape
-            total = None
-            for fi, aerial in enumerate(aerials):
-                part = F.scatter(aerial, fi, shape)
-                total = part if total is None else F.add(total, part)
-            return total
+            return composed_condition_stack(mask, kernels, self._weight_tensor)
         return F.incoherent_image_stack(mask, kernels, self._weight_tensor)
 
     def aerial_conditions_fast(
@@ -320,29 +298,17 @@ class HopkinsImaging:
         """Graph-free condition-axis forward (inference/judge path).
         Per-condition passes fan out across the
         :func:`repro.optics.fftlib.map_conditions` thread pool."""
-        from . import fftlib
-
         if focus_values is not None:
             conditions = focus_values
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        kernels = self.condition_kernels(conditions)
-
-        def _one_condition(fi: int) -> np.ndarray:
-            with obs_span("engine.condition", index=fi):
-                return incoherent_sum_fast(
-                    tiles, kernels[fi].data, self.weights, 1.0
-                )
-
-        with obs_span("engine.conditions", engine="hopkins", n=len(kernels)):
-            out = np.stack(
-                fftlib.map_conditions(_one_condition, len(kernels))
-            )
-        return out[:, 0] if single else out
+        _reject_source(source)
+        return condition_stack_fast(
+            mask,
+            self.config.mask_size,
+            [kern.data for kern in self.condition_kernels(conditions)],
+            self.weights,
+            1.0,
+            "hopkins",
+        )
 
     @property
     def truncation_energy(self) -> float:

@@ -9,8 +9,8 @@ Two engines, one loop:
 
 Both minimize the same process-window-aware loss (Eq. (9)) with the
 source held fixed, so their gap isolates the Hopkins truncation error
-discussed in Section 4.1.  Both ride their engine's fused
-``incoherent_image`` forward (streamed, hand-written VJP), single-tile
+discussed in Section 4.1.  Both ride their engine's fused imaging
+forward (streamed, hand-written VJP), single-tile
 or batched.
 """
 

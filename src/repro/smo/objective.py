@@ -18,10 +18,12 @@ All objectives consume any :class:`repro.optics.ImagingEngine`; default
 engines come from the shared optics cache, and every inference-only
 entry point (``images()``) rides the engines' graph-free fast path.
 :class:`BatchedSMOObjective` evaluates a whole ``(B, N, N)`` layout
-batch as one loss through the engines' fused multi-tile forward — since
-PR 3 a single :func:`repro.autodiff.functional.incoherent_image` node
-per evaluation (streamed forward, hand-written VJP), so neither the
-loss nor its backward retains a ``(B, S, N, N)`` field stack.
+batch as one loss through the engines' fused multi-tile forward.  Every
+objective — nominal or process-window — images through the same fused
+:func:`repro.autodiff.functional.incoherent_image_stack` node (nominal
+imaging is its one-condition case; streamed forward, hand-written
+VJP), so neither the loss nor its backward retains a ``(B, S, N, N)``
+field stack.
 """
 
 from __future__ import annotations
@@ -992,7 +994,7 @@ class LoopedSMOObjective:
     ``theta_J``, same summed loss over the ``(B, N, N)`` ``theta_M``
     stack) but each tile builds its own single-tile graph — the
     pre-batching consumer pattern.  Each per-tile graph still rides the
-    engine's fused ``incoherent_image`` node, so the loop-vs-batch gap
+    engine's fused imaging node, so the loop-vs-batch gap
     it measures isolates graph-count overhead, not op fusion.  It also deliberately omits the
     FFT-free ``source_only_loss`` HVP oracle, exactly as the per-clip
     code it stands in for.  Kept as the equivalence oracle for the

@@ -196,3 +196,27 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--scale", "tiny", "--clips", "1"],
+            ["pwindow", "--scale", "tiny", "--dataset", "ISPD19"],
+        ],
+    )
+    def test_scale_clip_tile_mismatch_is_a_usage_error(self, argv, capsys):
+        """A preset whose tile cannot hold the clips fails at the CLI
+        edge, before any solve, naming the scale and both tile sizes."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scale tiny" in err
+        assert "500 nm" in err and "2000 nm" in err
+        assert "Traceback" not in err
+
+    def test_unknown_scale_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--scale", "huge"])
+        assert exc.value.code == 2
+        assert "unknown preset 'huge'" in capsys.readouterr().err

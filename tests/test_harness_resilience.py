@@ -38,7 +38,9 @@ from repro.harness.resilience import (
 from repro.harness.runner import RunRecord
 from repro.layouts import Clip, Dataset
 from repro.layouts.synth import ClipStyle
-from repro.optics import OpticalConfig, fftlib
+import repro.autodiff as ad
+from repro.autodiff import functional as F
+from repro.optics import AbbeImaging, OpticalConfig, fftlib
 from repro.utils import faultinject as fi
 
 METHODS = ("NILT", "Abbe-MO")
@@ -547,6 +549,31 @@ class TestChunkFallback:
 
         with pytest.raises(MemoryError):
             fftlib.run_with_chunk_fallback(fn, 1)
+
+    def test_nominal_aerial_survives_memory_error(self):
+        """Nominal imaging is the one-condition stack, so a MemoryError
+        in its streamed block halves the chunk and retries instead of
+        failing; the image and both gradients stay chunk-invariant."""
+        cfg = OpticalConfig.preset("tiny")
+        engine = AbbeImaging(cfg)
+        rng = np.random.default_rng(5)
+        masks = rng.uniform(size=(2, cfg.mask_size, cfg.mask_size))
+        source = rng.uniform(size=(cfg.source_size, cfg.source_size))
+
+        def image_and_grads():
+            mt = ad.Tensor(masks, requires_grad=True)
+            st = ad.Tensor(source, requires_grad=True)
+            with fftlib.use(chunk=4):
+                image = engine.aerial(mt, st)
+                gm, gs = ad.grad(F.sum(F.power(image, 2.0)), [mt, st])
+            return image.data, gm.data, gs.data
+
+        clean = image_and_grads()
+        fi.install_plan("fftlib.stream_chunk@1=raise:MemoryError")
+        faulted = image_and_grads()
+        assert fi.active_plan().visits("fftlib.stream_chunk") >= 1
+        for got, want in zip(faulted, clean):
+            np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
