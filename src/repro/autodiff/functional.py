@@ -5,7 +5,9 @@ then (if grad mode is on and any input requires grad) attach a VJP closure.
 VJP closures are written **in terms of these same functional ops**, so a
 backward pass executed with graph recording enabled (``create_graph=True``
 in :func:`repro.autodiff.grad.grad`) is itself differentiable.  That
-property is what gives BiSMO-NMN / BiSMO-CG exact Hessian-vector products.
+property gives exact Hessian-vector products by double backward: the
+BiSMO-UNROLL path and the reference oracles BiSMO's split-at-the-aerial
+oracles are tested against.
 
 Complex gradients use the convention ``grad(z) = dL/dRe(z) + 1j*dL/dIm(z)``
 for a real-valued loss ``L``; under this convention the VJP of a
@@ -60,6 +62,7 @@ __all__ = [
     "incoherent_image",
     "incoherent_image_stack",
     "incoherent_image_composed",
+    "incoherent_stack_mask_vjp",
     "getitem",
     "scatter",
     "matmul",
@@ -792,10 +795,13 @@ def incoherent_image_stack(
     pairing is ignored (exact fallback) for complex masks, complex
     kernels or a complex upstream gradient.
 
-    Under ``ad.grad(create_graph=True)`` (BiSMO's HVP/mixed-JVP oracles,
-    the unroll path) the VJP falls back to composed-op gradient
-    expressions, so second-order products stay exactly differentiable.
-    The per-stack passes fan out across the
+    Under ``ad.grad(create_graph=True)`` the VJP falls back to
+    composed-op gradient expressions, so second-order products stay
+    exactly differentiable.  Only BiSMO-UNROLL and objectives without a
+    post-aerial loss split take that path; BiSMO's exact HVP and mixed
+    oracles use first-order streamed passes and
+    :func:`incoherent_stack_mask_vjp` instead.  The per-stack passes
+    fan out across the
     :func:`repro.optics.fftlib.map_conditions` pool with private
     buffers and fixed-order reductions, so results are **bitwise
     identical** for any worker count.
@@ -803,6 +809,40 @@ def incoherent_image_stack(
     return _incoherent_stack(
         mask, pupil_stacks, weights, chunk, conj_pairs, stacked=True
     )
+
+
+def _stack_setup(
+    mask: ArrayLike,
+    pupil_stacks: Sequence[ArrayLike],
+    weights: Sequence[ArrayLike],
+    chunk: Optional[int],
+    conj_pairs: Optional[Sequence[Optional[np.ndarray]]],
+) -> Tuple[Tensor, Tuple[Tensor, ...], int, int, int, Tuple]:
+    """Validate a condition-stack call; return ``(mask, stacks, s, n,
+    chunk, pair_info)``.  Every entry of ``weights`` is checked against
+    every stack."""
+    mask = as_tensor(mask)
+    stacks = tuple(as_tensor(p) for p in pupil_stacks)
+    if not stacks:
+        raise ValueError("incoherent_image_stack needs at least one stack")
+    for st in stacks:
+        for w in weights:
+            s, n = _check_incoherent_args(mask, st, as_tensor(w))
+    if conj_pairs is None:
+        conj_pairs = (None,) * len(stacks)
+    elif len(conj_pairs) != len(stacks):
+        raise ValueError(
+            f"conj_pairs must have one entry per stack "
+            f"({len(stacks)}); got {len(conj_pairs)}"
+        )
+    csize = _get_fftlib().get_stream_chunk() if chunk is None else int(chunk)
+    if csize < 1:
+        raise ValueError(f"chunk must be >= 1; got {csize}")
+    pair_info = tuple(
+        _pair_setup(cp_f, s, not mask.is_complex and not st.is_complex)
+        for st, cp_f in zip(stacks, conj_pairs)
+    )
+    return mask, stacks, s, n, csize, pair_info
 
 
 def _incoherent_stack(
@@ -819,29 +859,12 @@ def _incoherent_stack(
     output and expects an upstream gradient without it.
     """
     op = "incoherent_image_stack" if stacked else "incoherent_image"
-    mask = as_tensor(mask)
     weights = as_tensor(weights)
-    stacks = tuple(as_tensor(p) for p in pupil_stacks)
-    if not stacks:
-        raise ValueError("incoherent_image_stack needs at least one stack")
-    for st in stacks:
-        s, n = _check_incoherent_args(mask, st, weights)
-    if conj_pairs is None:
-        conj_pairs = (None,) * len(stacks)
-    elif len(conj_pairs) != len(stacks):
-        raise ValueError(
-            f"conj_pairs must have one entry per stack "
-            f"({len(stacks)}); got {len(conj_pairs)}"
-        )
+    mask, stacks, s, n, csize, pair_info = _stack_setup(
+        mask, pupil_stacks, (weights,), chunk, conj_pairs
+    )
     fl = _get_fftlib()
     bk = _get_backend().active_backend()
-    csize = fl.get_stream_chunk() if chunk is None else int(chunk)
-    if csize < 1:
-        raise ValueError(f"chunk must be >= 1; got {csize}")
-    pair_info = tuple(
-        _pair_setup(cp_f, s, not mask.is_complex and not st.is_complex)
-        for st, cp_f in zip(stacks, conj_pairs)
-    )
     single = mask.ndim == 2
     tiles = mask.data[None] if single else mask.data
     b = tiles.shape[0]
@@ -873,7 +896,8 @@ def _incoherent_stack(
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         if is_grad_enabled():
             # create_graph backward: composed-op gradient expressions,
-            # themselves differentiable (exact HVPs / unroll).
+            # themselves differentiable (the BiSMO-UNROLL path and
+            # objectives without a post-aerial loss split).
             per_stack = (
                 [getitem(g, fi) for fi in range(len(stacks))] if stacked else [g]
             )
@@ -881,40 +905,55 @@ def _incoherent_stack(
                 per_stack, mask, stacks, weights
             )
         gd = g.data if stacked else g.data[None]
-        return _incoherent_stack_vjp_streamed(
-            bk, gd, mask, stacks, weights, fm, csize, pair_info, op
+        gm, gw = _streamed_backward(
+            bk,
+            fm,
+            tuple(st.data for st in stacks),
+            pair_info,
+            ((w, gd[:, None] if single else gd),),
+            csize,
+            mask.requires_grad,
+            weights.requires_grad,
+            op,
+        )
+        gm_out = None if gm is None else Tensor(gm[0] if single else gm)
+        return (gm_out,) + (None,) * len(stacks) + (
+            Tensor(gw) if gw is not None else None,
         )
 
     return _make(out_data, (mask,) + stacks + (weights,), vjp, op)
 
 
-def _incoherent_stack_vjp_streamed(
+def _streamed_backward(
     bk: Any,
-    gd: np.ndarray,
-    mask: Tensor,
-    stacks: Tuple[Tensor, ...],
-    weights: Tensor,
     fm: Any,
-    csize: int,
+    kernels: Tuple[np.ndarray, ...],
     pair_info: Tuple,
+    terms: Sequence[Tuple[np.ndarray, np.ndarray]],
+    csize: int,
+    need_mask: bool,
+    need_w: bool,
     op: str,
-) -> Tuple[Optional[Tensor], ...]:
-    """Graph-free streamed gradients summed over the condition axis.
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Graph-free streamed gradients of ``sum_k <g_k, stack(w_k)>``.
 
-    ``gd`` is the ``(F, [B,] N, N)`` upstream gradient.  Each stack's
-    pass fills *private* buffers on the condition pool; the cross-stack
-    reductions run here in fixed stack order, so any thread count gives
-    bitwise-identical gradients.
+    Each term pairs ``(S,)`` weights ``w_k`` with a ``(F, B, N, N)``
+    upstream gradient ``g_k``; every term streams from the one shared
+    mask spectrum ``fm``.  Returns the host ``(B, N, N)`` mask gradient
+    (complex; None unless ``need_mask``) summed over terms and
+    conditions, and the ``(S,)`` weight gradient (None unless
+    ``need_w``).  Each stack's pass fills *private* buffers on the
+    condition pool; the cross-stack reductions run here in fixed stack
+    order, so any thread count gives bitwise-identical gradients.
     """
     fl = _get_fftlib()
     host = _get_backend().HOST
-    s = stacks[0].shape[0]
-    single = mask.ndim == 2
-    if single:
-        gd = gd[:, None]  # (F, B, N, N)
-    need_mask = mask.requires_grad
-    need_w = weights.requires_grad
-    gw_dtype = np.complex128 if np.iscomplexobj(gd) else np.float64
+    s = kernels[0].shape[0]
+    gw_dtype = (
+        np.complex128
+        if builtins.any(np.iscomplexobj(gd) for _, gd in terms)
+        else np.float64
+    )
 
     def _backward_one(fi: int) -> Tuple[Any, Any]:
         cp_f, reps_f = pair_info[fi]
@@ -924,17 +963,20 @@ def _incoherent_stack_vjp_streamed(
             # not leave half-accumulated gradients behind for the
             # halved-chunk retry to double-count.
             gw_f = host.zeros(s, gw_dtype) if need_w else None
-            acc = _stream_backward_one(
-                bk, gd[fi], fm, stacks[fi].data, weights.data, c, cp_f,
-                reps_f, need_mask, gw_f,
-            )
+            acc: Any = None
+            for w, gd in terms:
+                part = _stream_backward_one(
+                    bk, gd[fi], fm, kernels[fi], w, c, cp_f, reps_f,
+                    need_mask, gw_f,
+                )
+                acc = part if acc is None else acc + part
             return acc, gw_f
 
         with _obs_span("engine.condition", index=fi):
             return fl.run_with_chunk_fallback(_attempt, csize)
 
-    with _obs_span("imaging.vjp", op=op, stacks=len(stacks), s=s):
-        results = fl.map_conditions(_backward_one, len(stacks))
+    with _obs_span("imaging.vjp", op=op, stacks=len(kernels), s=s):
+        results = fl.map_conditions(_backward_one, len(kernels))
         gw: Any = host.zeros(s, gw_dtype) if need_w else None
         acc_total: Any = (
             bk.zeros(tuple(fm.shape), bk.complex128) if need_mask else None
@@ -944,13 +986,70 @@ def _incoherent_stack_vjp_streamed(
                 acc_total += acc
             if need_w:
                 gw += gw_f
-        gm_out = None
-        if need_mask:
-            gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
-            gm_out = Tensor(gm[0] if single else gm)
-    return (gm_out,) + (None,) * len(stacks) + (
-        Tensor(gw) if gw is not None else None,
+        gm = (
+            bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
+            if need_mask
+            else None
+        )
+    return gm, gw
+
+
+def incoherent_stack_mask_vjp(
+    mask: ArrayLike,
+    pupil_stacks: Sequence[ArrayLike],
+    terms: Sequence[Tuple[ArrayLike, ArrayLike]],
+    conj_pairs: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> np.ndarray:
+    """Graph-free mask gradient of ``sum_k <g_k, incoherent_image_stack(
+    mask, pupil_stacks, w_k)>``.
+
+    ``terms`` pairs real ``(S,)`` weights ``w_k`` (any sign) with
+    upstream gradients ``g_k`` shaped like the stack output ``(F, [B,]
+    N, N)``.  Every term reuses ONE mask spectrum and the primitive's
+    streamed backward — conjugate pairing, source-axis chunks, the
+    ``MemoryError`` chunk fallback and the condition-pool fan-out — and
+    the summed frequency-domain accumulator is closed by one IFFT.
+    Returns an array shaped like ``mask`` (real for a real mask).
+
+    This is the mask half of BiSMO's exact mixed second-order product:
+    the image is bilinear in the mask fields and the source weights, so
+    differentiating ``<g, image(w)>`` along a weight direction ``u``
+    is the same streamed VJP with ``u`` as the weights.
+    """
+    if not terms:
+        raise ValueError("incoherent_stack_mask_vjp needs at least one term")
+    m = as_tensor(mask)
+    weights = tuple(as_tensor(w) for w, _ in terms)
+    m, stacks, _, _, csize, pair_info = _stack_setup(
+        m, pupil_stacks, weights, None, conj_pairs
     )
+    single = m.ndim == 2
+    out_shape = (len(stacks),) + m.shape
+    ups = []
+    for _, g in terms:
+        gd = as_tensor(g).data
+        if gd.shape != out_shape:
+            raise ValueError(
+                f"upstream gradient must be {out_shape}; got {gd.shape}"
+            )
+        ups.append(gd[:, None] if single else gd)
+    bk = _get_backend().active_backend()
+    tiles = m.data[None] if single else m.data
+    fm = bk.fft2(bk.from_host(tiles))
+    gm: Any
+    gm, _ = _streamed_backward(
+        bk,
+        fm,
+        tuple(st.data for st in stacks),
+        pair_info,
+        tuple((w.data, gd) for w, gd in zip(weights, ups)),
+        csize,
+        True,
+        False,
+        "incoherent_stack_mask_vjp",
+    )
+    gm = gm[0] if single else gm
+    return gm if m.is_complex else gm.real
 
 
 def _incoherent_stack_vjp_composed(
@@ -963,9 +1062,10 @@ def _incoherent_stack_vjp_composed(
 
     Rebuilds each condition's fields with graph-recording ops from ONE
     shared ``fft2(mask)`` node and writes the exact gradient formulas
-    with them, so BiSMO's exact HVP / mixed-JVP oracles can
-    differentiate the result again.  ``per_stack[f]`` is condition
-    ``f``'s upstream gradient.
+    with them, so the result can be differentiated again (BiSMO-UNROLL,
+    and the double-backward reference oracles of objectives without a
+    post-aerial loss split).  ``per_stack[f]`` is condition ``f``'s
+    upstream gradient.
     """
     s, n = stacks[0].shape[0], stacks[0].shape[-1]
     single = mask.ndim == 2

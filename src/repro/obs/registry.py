@@ -23,6 +23,9 @@ DECLARED_SPANS: Dict[str, str] = {
     "harness.cell": "one harness sweep cell (run_matrix or process-window)",
     "harness.warmup": "optics cache warm-up for a sweep configuration",
     "solver.iter": "one outer solver iteration (all SMO/ILT loops)",
+    "solver.hypergrad": "one BiSMO hypergradient strategy call (FD/NMN/CG)",
+    "solver.hvp": "one BiSMO inner Hessian-vector product",
+    "solver.mixed": "one BiSMO mixed second-order product",
     "engine.conditions": "aerial_conditions_fast fan-out over process conditions",
     "engine.condition": "a single process-condition imaging pass",
     "imaging.forward": "fused incoherent-image forward pass",

@@ -192,6 +192,13 @@ class AbbeImaging:
         """Extract the valid-point weight vector ``j_s`` from a source image."""
         return F.getitem(source, self._valid_index)
 
+    def normalized_source_weights(self, source: ad.Tensor) -> ad.Tensor:
+        """The ``(S,)`` imaging weights ``j_s / sum j``: the one source
+        normalization every aerial (fused, composed, basis) applies, and
+        the source chain BiSMO's second-order oracles differentiate."""
+        j = self.source_weights(source)
+        return F.div(j, F.add(F.sum(j), _EPS))
+
     def aerial(self, mask: ad.Tensor, source: Optional[ad.Tensor] = None) -> ad.Tensor:
         """Aerial image intensity for ``(N, N)`` / ``(B, N, N)`` mask(s)
         and an ``(N_j, N_j)`` source: :meth:`aerial_conditions` at the
@@ -242,8 +249,7 @@ class AbbeImaging:
             conditions = focus_values
         if source is None:
             raise ValueError("AbbeImaging requires a source image")
-        j = self.source_weights(source)
-        jn = F.div(j, F.add(F.sum(j), _EPS))
+        jn = self.normalized_source_weights(source)
         stacks_pairs = self.condition_stacks(conditions)
         stacks = [stack for stack, _ in stacks_pairs]
         if not self.fused:
@@ -300,21 +306,38 @@ class AbbeImaging:
         :meth:`condition_stacks`) for the engine's own — the
         process-window objective builds one basis per focus value this
         way.
+
+        The build streams tile by tile over source-axis chunks of
+        :func:`repro.optics.fftlib.get_stream_chunk` kernels (set with
+        ``fftlib.use(chunk=...)``), so the transient beside the output
+        is one ``(chunk, N, N)`` block; a ``MemoryError`` halves the
+        chunk and retries once
+        (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
+        Every plane is transformed on its own, so the basis is bitwise
+        independent of the chunk.
         """
         from . import backend as abk
+        from . import fftlib
 
         bk = abk.active_backend()
         tiles, _ = as_tile_batch(masks, self.config.mask_size)
         kernels = self._pupil_stack.data if pupil_stack is None else pupil_stack
         fm = bk.fft2(bk.from_host(tiles))  # (B, N, N)
         kern = bk.from_host(kernels)
+        s = kernels.shape[0]
         out = abk.HOST.empty((tiles.shape[0],) + kernels.shape, np.float64)
-        # Tile-at-a-time keeps the working set cache-sized; per-tile
-        # results are bitwise identical to the full-stack transform.
-        for b in range(tiles.shape[0]):
-            fields = bk.ifft2(kern * fm[b], overwrite_x=True)
-            out[b] = bk.to_host(bk.abs2(fields))
-        return out  # (B, S, N, N)
+
+        def _fill(c: int) -> np.ndarray:
+            # Overwrites every plane, so a halved-chunk retry after a
+            # MemoryError leaves no stale values behind.
+            for b in range(tiles.shape[0]):
+                for lo in range(0, s, c):
+                    hi = min(s, lo + c)
+                    fields = bk.ifft2(kern[lo:hi] * fm[b], overwrite_x=True)
+                    out[b, lo:hi] = bk.to_host(bk.abs2(fields))
+            return out  # (B, S, N, N)
+
+        return fftlib.run_with_chunk_fallback(_fill, fftlib.get_stream_chunk())
 
     def aerial_from_basis(self, basis: ad.Tensor, source: ad.Tensor) -> ad.Tensor:
         """Differentiable aerial from a fixed intensity basis (FFT-free).
@@ -325,10 +348,8 @@ class AbbeImaging:
         the graph touches only the source parameters — the cheap path
         for source-only gradients.
         """
-        j = self.source_weights(source)
-        norm = F.add(F.sum(j), _EPS)
         s = self.num_source_points
-        jw = F.reshape(F.div(j, norm), (1, s, 1, 1))
+        jw = F.reshape(self.normalized_source_weights(source), (1, s, 1, 1))
         return F.sum(F.mul(jw, basis), axis=1)  # (B, N, N)
 
     def aerial_loop(self, mask: ad.Tensor, source: ad.Tensor) -> ad.Tensor:

@@ -13,9 +13,11 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
 (:mod:`repro.smo.cg`); each outer iteration
 
 1. unrolls ``T`` inner SO steps to track theta_J* (Alg. 2 line 2),
-2. builds a :class:`HypergradientContext` — one differentiable forward/
-   backward giving the direct gradients plus exact HVP / mixed-JVP
-   oracles via double backward,
+2. builds a :class:`HypergradientContext` — one fused forward and one
+   streamed backward giving the direct gradients, plus exact HVP /
+   mixed-JVP oracles that split the loss at the aerial image (FFT-free
+   Hessian products through the intensity basis, streamed mask VJPs
+   for the mixed term; no create-graph imaging graph),
 3. forms the hypergradient and updates theta_M (Alg. 2 line 13).
 
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
@@ -25,13 +27,15 @@ Joint multi-clip SMO: passing a ``(B, N, N)`` target stack (or a
 :class:`repro.smo.objective.BatchedSMOObjective`) optimizes one shared
 ``theta_J`` against a ``(B, N, N)`` ``theta_M`` stack; hypergradients
 and HVPs flow through the fused batched forward and every
-:class:`IterationRecord` carries the per-tile loss vector.
+:class:`IterationRecord` carries the per-tile loss vector.  Only
+BiSMO-UNROLL still differentiates through imaging twice (the fused
+node's composed ``create_graph`` fallback).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from ..obs import observe_iteration
 from ..obs import span as obs_span
 from ..opt import make_optimizer
 from ..optics import OpticalConfig, ProcessWindow
+from ..optics.abbe import AbbeImaging
 from ..utils.timing import tick
 from .objective import (
     AbbeSMOObjective,
@@ -48,34 +53,67 @@ from .objective import (
     ProcessWindowSMOObjective,
     adaptive_corner_update,
 )
-from .parametrization import init_theta_mask, init_theta_source
+from .parametrization import (
+    init_theta_mask,
+    init_theta_source,
+    mask_from_theta,
+    source_from_theta,
+)
 from .state import IterationRecord, SMOResult
 
 __all__ = ["HypergradientContext", "BiSMO"]
 
 
 class HypergradientContext:
-    """Differentiable first-order state at (theta_J, theta_M).
+    """First-order state at (theta_J, theta_M) plus exact second-order
+    oracles.
 
-    Wraps one loss evaluation with ``create_graph=True`` and exposes:
+    Exposes:
 
     * ``grad_j`` / ``grad_m`` — direct gradients (numpy copies),
     * :meth:`hvp` — exact inner Hessian-vector products
       ``(d^2 L_so / d theta_J^2) @ p``,
     * :meth:`mixed_vjp` — exact mixed products
-      ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M),
+      ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M).
 
-    both computed by a second backward pass through the gradient graph
-    (``hvp_mode="exact"``), or by central differences of fresh gradient
-    evaluations (``hvp_mode="fd"``, cheaper in memory — the DARTS trick).
     The oracles feed every hypergradient strategy: finite-difference
     (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`)
     and conjugate gradient (:mod:`repro.smo.cg`).
 
+    ``hvp_mode="exact"`` on an objective that splits at the aerial image
+    (``loss_from_aerial`` over ``conditions``, ``check_theta_m``, and an
+    :class:`repro.optics.abbe.AbbeImaging` engine) takes the matrix-free path
+    (:attr:`split` is True).  The aerial stack is linear in the
+    normalized source weights, ``A = X jn(theta_J)`` with ``X`` the
+    per-condition intensity bases at the fixed mask, and the loss
+    ``l(A)`` is an FFT-free function of ``A``.  With ``g_A = dl/dA``,
+    ``H_l`` its Hessian, ``J = d jn / d theta_J`` and ``phi(theta_J) =
+    <X^T g_A, jn(theta_J)>``:
+
+    * ``hvp(p) = J^T X^T H_l X J p + hess(phi) p`` — FFT-free;
+    * ``mixed_vjp(w)`` is the mask-chain VJP of
+      ``VJP_M[weights=J w, upstream=g_A] + VJP_M[weights=jn,
+      upstream=H_l X J w]``: two graph-free streamed mask VJPs
+      (:func:`repro.autodiff.functional.incoherent_stack_mask_vjp`).
+
+    The context keeps no create-graph imaging graph: one fused
+    first-order forward, one streamed backward for ``grad_m``, and
+    small create-graph graphs over the aerial stack (``l``) and the
+    source chain (``jn``).  ``X`` comes from ``so_loss_fn.bases`` (the
+    solver's source-only closure) or is built from the engine.
+
+    Objectives without the split (duck-typed toys, the per-tile
+    :class:`repro.smo.objective.LoopedSMOObjective` reference) take the
+    generic path: one loss evaluation with ``create_graph=True`` and
+    both products by a second backward pass through the gradient graph
+    — the double-backward reference the split path is tested against.
+    ``hvp_mode="fd"`` uses central differences of fresh gradient
+    evaluations instead (cheaper in memory — the DARTS trick).
+
     ``objective`` is any SMO objective exposing ``loss(theta_j,
-    theta_m)`` — single-tile :class:`AbbeSMOObjective` or a batched
-    multi-clip objective, in which case ``theta_m`` is a ``(B, N, N)``
-    stack and every oracle flows through the fused batched graph.
+    theta_m)`` — single-tile :class:`AbbeSMOObjective`, a batched
+    multi-clip objective (``theta_m`` is then a ``(B, N, N)`` stack) or
+    a process-window objective.
     """
 
     def __init__(
@@ -94,6 +132,19 @@ class HypergradientContext:
         self.fd_eps = fd_eps
         self._tj = ad.Tensor(theta_j, requires_grad=True)
         self._tm = ad.Tensor(theta_m, requires_grad=True)
+        # ``so_loss_fn`` lets the solver share one intensity basis across
+        # the whole outer iteration; otherwise the objective's
+        # ``source_only_loss`` factory is used (FD mode's cheap inner
+        # gradients, the split path's bases).
+        if so_loss_fn is None:
+            factory = getattr(objective, "source_only_loss", None)
+            so_loss_fn = factory(theta_m) if factory is not None else None
+        self._so_loss_fn = so_loss_fn
+        #: True when the oracles run on the matrix-free split path.
+        self.split = hvp_mode == "exact" and _splits_at_aerial(objective)
+        if self.split:
+            self._init_split()
+            return
         loss = objective.loss(self._tj, self._tm)
         self.loss_value = float(loss.data)
         create = hvp_mode == "exact"
@@ -101,44 +152,121 @@ class HypergradientContext:
         self._gj_graph = gj if create else None
         self.grad_j = gj.data.copy()
         self.grad_m = gm.data.copy()
-        # Source-only HVP oracle: objectives that can express the loss as
-        # a function of theta_J alone through a fixed intensity basis
-        # (Abbe is linear in the source weights) provide a far cheaper,
-        # FFT-free graph for the inner Hessian.  Exact — same function of
-        # theta_J, so identical second derivatives.  ``so_loss_fn`` lets
-        # the driver share one basis across the whole outer iteration;
-        # otherwise the objective's ``source_only_loss`` factory is used.
-        if so_loss_fn is None:
-            factory = getattr(objective, "source_only_loss", None)
-            so_loss_fn = factory(theta_m) if factory is not None else None
-        self._so_loss_fn = so_loss_fn
-        self._so_tj: Optional[ad.Tensor] = None
-        self._so_gj_graph: Optional[ad.Tensor] = None
-        if create and so_loss_fn is not None:
-            so_tj = ad.Tensor(theta_j, requires_grad=True)
-            (so_gj,) = ad.grad(so_loss_fn(so_tj), [so_tj], create_graph=True)
-            self._so_tj, self._so_gj_graph = so_tj, so_gj
+
+    def _init_split(self) -> None:
+        objective = self.objective
+        # ``loss`` checks this too; the split path never calls it, and the
+        # post-aerial loss would broadcast a wrong-shaped mask silently.
+        objective.check_theta_m(self._tm)
+        cfg = objective.config
+        engine = objective.engine
+        conditions = objective.conditions
+        self._stacks = engine.condition_stacks(conditions)
+        # 1. one fused first-order forward (the source is a constant
+        #    here, so the streamed backward skips the weight gradient).
+        source = source_from_theta(ad.Tensor(self._tj.data), cfg)
+        self._mask = mask_from_theta(self._tm, cfg)
+        stack = engine.aerial_conditions(self._mask, source, conditions)
+        # 2. the post-aerial loss on a leaf copy of the stack: an
+        #    FFT-free create-graph graph giving g_A and H_l-products.
+        self._a = ad.Tensor(stack.data, requires_grad=True)
+        loss = objective.loss_from_aerial(self._a)
+        self.loss_value = float(loss.data)
+        (self._ga,) = ad.grad(loss, [self._a], create_graph=True)
+        # 3. grad_m from one streamed backward with upstream g_A.
+        (gm,) = ad.grad(stack, [self._tm], grad_output=ad.Tensor(self._ga.data))
+        self.grad_m = gm.data.copy()
+        # 4. the per-condition intensity bases at this theta_M.
+        bases = getattr(self._so_loss_fn, "bases", None)
+        if bases is None:
+            bases = tuple(
+                engine.source_intensity_basis(self._mask.data, st.data)
+                for st, _ in self._stacks
+            )
+        self._bases = bases
+        # 5. the source chain: jt_v = J^T v at v = X^T g_A is grad_j, and
+        #    differentiating <jt_v, p> gives hess(phi) p (w.r.t. theta_J)
+        #    and J p (w.r.t. v) in one backward.
+        self._jn = engine.normalized_source_weights(
+            source_from_theta(self._tj, cfg)
+        )
+        self._v = ad.Tensor(self._basis_adjoint(self._ga.data), requires_grad=True)
+        (self._jt_v,) = ad.grad(
+            self._jn, [self._tj], grad_output=self._v, create_graph=True
+        )
+        self.grad_j = self._jt_v.data.copy()
+
+    # -- split-path building blocks --------------------------------------
+    def _basis_apply(self, u: np.ndarray) -> np.ndarray:
+        """``X u``: the aerial stack at source weights ``u`` (FFT-free)."""
+        planes = [
+            u @ x.reshape(x.shape[0], x.shape[1], -1) for x in self._bases
+        ]
+        return np.stack(planes).reshape(self._a.shape)
+
+    def _basis_adjoint(self, h: np.ndarray) -> np.ndarray:
+        """``X^T h`` for an aerial-stack-shaped ``h``: ``(S,)``."""
+        nn = h.shape[-2] * h.shape[-1]
+        hf = h.reshape(len(self._bases), -1, nn, 1)
+        out = np.zeros(self._bases[0].shape[1])
+        for x, hb in zip(self._bases, hf):
+            out += (x.reshape(x.shape[0], x.shape[1], nn) @ hb)[..., 0].sum(axis=0)
+        return out
+
+    def _loss_hvp(self, da: np.ndarray) -> np.ndarray:
+        """``H_l @ da`` through the FFT-free post-aerial graph."""
+        inner = F.dot(self._ga, ad.Tensor(da))
+        (h,) = ad.grad(inner, [self._a], allow_unused=True)
+        return np.zeros_like(da) if h is None else h.data
+
+    def _source_products(
+        self, p: np.ndarray, wrt: List[ad.Tensor]
+    ) -> List[np.ndarray]:
+        """One backward of ``<J^T v, p>``: ``hess(phi) p`` w.r.t. theta_J,
+        ``J p`` w.r.t. ``v`` (both exact; the graph is linear in ``v``)."""
+        inner = F.dot(self._jt_v, ad.Tensor(p))
+        return [g.data for g in ad.grad(inner, wrt)]
 
     # -- second-order oracles -------------------------------------------
     def hvp(self, p: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_J^2) @ p."""
-        if self.hvp_mode == "exact":
-            if self._so_gj_graph is not None:
-                inner = F.dot(self._so_gj_graph, ad.Tensor(p))
-                (h,) = ad.grad(inner, [self._so_tj], allow_unused=True)
+        with obs_span("solver.hvp", mode=self.hvp_mode, split=self.split):
+            if self.split:
+                h_phi, jp = self._source_products(p, [self._tj, self._v])
+                h_a = self._loss_hvp(self._basis_apply(jp))
+                (h_src,) = ad.grad(
+                    self._jn,
+                    [self._tj],
+                    grad_output=ad.Tensor(self._basis_adjoint(h_a)),
+                )
+                return h_phi + h_src.data
+            if self.hvp_mode == "exact":
+                inner = F.dot(self._gj_graph, ad.Tensor(p))
+                (h,) = ad.grad(inner, [self._tj], allow_unused=True)
                 return np.zeros_like(p) if h is None else h.data
-            inner = F.dot(self._gj_graph, ad.Tensor(p))
-            (h,) = ad.grad(inner, [self._tj], allow_unused=True)
-            return np.zeros_like(p) if h is None else h.data
-        return self._fd_second_order(p, wrt="j")
+            return self._fd_second_order(p, wrt="j")
 
     def mixed_vjp(self, w: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_M d theta_J) @ w — gradient-fusion term."""
-        if self.hvp_mode == "exact":
-            inner = F.dot(self._gj_graph, ad.Tensor(w))
-            (m,) = ad.grad(inner, [self._tm], allow_unused=True)
-            return np.zeros_like(self._tm.data) if m is None else m.data
-        return self._fd_second_order(w, wrt="m")
+        with obs_span("solver.mixed", mode=self.hvp_mode, split=self.split):
+            if self.split:
+                (u,) = self._source_products(w, [self._v])
+                h_a = self._loss_hvp(self._basis_apply(u))
+                g_mask = F.incoherent_stack_mask_vjp(
+                    self._mask.data,
+                    [st for st, _ in self._stacks],
+                    [(self._jn.data, h_a), (u, self._ga.data)],
+                    conj_pairs=[pairs for _, pairs in self._stacks],
+                )
+                (m,) = ad.grad(
+                    self._mask, [self._tm], grad_output=ad.Tensor(g_mask)
+                )
+                return m.data
+            if self.hvp_mode == "exact":
+                inner = F.dot(self._gj_graph, ad.Tensor(w))
+                (m,) = ad.grad(inner, [self._tm], allow_unused=True)
+                return np.zeros_like(self._tm.data) if m is None else m.data
+            return self._fd_second_order(w, wrt="m")
 
     def _fd_second_order(self, vec: np.ndarray, wrt: str) -> np.ndarray:
         """Central difference of the relevant first-order gradient while
@@ -161,6 +289,15 @@ class HypergradientContext:
                 (g,) = ad.grad(loss, [target])
             outs.append(g.data)
         return (outs[0] - outs[1]) / (2.0 * h)
+
+
+def _splits_at_aerial(objective) -> bool:
+    """Does ``objective`` split at the aerial stack over an Abbe engine
+    (the matrix-free oracle path)?  The path needs Abbe's linear-in-
+    ``jn`` intensity bases and its source normalization."""
+    return hasattr(objective, "loss_from_aerial") and isinstance(
+        getattr(objective, "engine", None), AbbeImaging
+    )
 
 
 HypergradientFn = Callable[
@@ -209,7 +346,8 @@ class BiSMO:
         ``"unroll"`` method differentiates through plain SGD inner
         updates, so it accepts ``inner_optimizer="sgd"`` only.
     hvp_mode:
-        ``"exact"`` (double backward) or ``"fd"`` (finite differences).
+        ``"exact"`` (exact second-order oracles; see
+        :class:`HypergradientContext`) or ``"fd"`` (finite differences).
     damping:
         Tikhonov damping added to the inner Hessian in the CG solve.
     process_window:
@@ -383,9 +521,10 @@ class BiSMO:
                 corner_matrix = getattr(
                     self.objective, "last_corner_losses", None
                 )
-                hyper, warm = self._hyper_fn(
-                    ctx, self.inner_lr, self.terms, self.damping, warm
-                )
+                with obs_span("solver.hypergrad", solver=self.method_name):
+                    hyper, warm = self._hyper_fn(
+                        ctx, self.inner_lr, self.terms, self.damping, warm
+                    )
                 # ---- Alg. 2 line 13: outer MO step --------------------
                 theta_m = outer_opt.step(theta_m, hyper)
                 # Minimax ascent on the corner weights (robust="adaptive"):

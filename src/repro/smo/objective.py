@@ -23,7 +23,12 @@ objective — nominal or process-window — images through the same fused
 :func:`repro.autodiff.functional.incoherent_image_stack` node (nominal
 imaging is its one-condition case; streamed forward, hand-written
 VJP), so neither the loss nor its backward retains a ``(B, S, N, N)``
-field stack.
+field stack.  The source-differentiable objectives split at that stack:
+``loss(theta_j, theta_m) == loss_from_aerial(engine.aerial_conditions(
+mask, source, conditions))``, with ``loss_from_aerial`` an FFT-free
+function of the aerial stack — the seam BiSMO's matrix-free
+second-order oracles (:class:`repro.smo.bismo.HypergradientContext`)
+are built on.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from ..optics import (
     engine_for,
 )
 from ..optics.abbe import AbbeImaging
+from ..optics.engine import drop_condition_axis
 from .parametrization import mask_from_theta, source_from_theta
 
 __all__ = [
@@ -100,6 +106,20 @@ def smo_loss_from_aerial(
         F.sum(F.power(F.sub(z_min, target), 2.0)),
     )
     return F.add(F.mul(l2, config.gamma), F.mul(pvb, config.eta))
+
+
+def _check_theta_shape(theta_m, target: ad.Tensor) -> None:
+    """Raise ``ValueError`` unless ``theta_m`` has the target's shape.
+
+    The post-aerial losses broadcast an aerial against the targets, so a
+    single ``(N, N)`` mask against ``(B, N, N)`` targets would silently
+    optimize one mask for the sum of all targets.
+    """
+    if tuple(theta_m.shape) != tuple(target.shape):
+        raise ValueError(
+            f"theta_m must be shaped like the target {tuple(target.shape)}; "
+            f"got {tuple(theta_m.shape)}"
+        )
 
 
 def _resist_images_fast(
@@ -293,9 +313,30 @@ def windowed_corner_loss(
     corner weights.  Returns ``(robust_loss, corner_matrix)`` with the
     matrix shaped ``(C, B)``.
     """
-    conditions = window.conditions()
-    stack = engine.aerial_conditions(mask, source, conditions)
-    aerials = [F.getitem(stack, fi) for fi in range(len(conditions))]
+    stack = engine.aerial_conditions(mask, source, window.conditions())
+    return _windowed_loss_from_stack(
+        stack, target, window, config, robust, tau, weights
+    )
+
+
+def _windowed_loss_from_stack(
+    stack: ad.Tensor,
+    target: ad.Tensor,
+    window: ProcessWindow,
+    config: OpticalConfig,
+    robust: str = "sum",
+    tau: float = 1.0,
+    weights: Optional[np.ndarray] = None,
+) -> Tuple[ad.Tensor, np.ndarray]:
+    """Robust window loss from an ``(F, [B,] N, N)`` aerial stack.
+
+    ``stack[f]`` is the aerial image at ``window.conditions()[f]``; each
+    corner applies its ``dose**2`` resist (and calibrated threshold)
+    and the per-corner losses reduce through
+    :func:`robust_corner_loss`.  FFT-free.  Returns ``(robust_loss,
+    corner_matrix)`` with the matrix shaped ``(C, B)``.
+    """
+    aerials = [F.getitem(stack, fi) for fi in range(stack.shape[0])]
     losses, matrix = _corner_loss_terms(aerials, target, window, config)
     return robust_corner_loss(losses, window, robust, tau, weights), matrix
 
@@ -447,10 +488,11 @@ class ProcessWindowSMOObjective:
     (joint multi-clip robust SMO — per-tile robust losses ride every
     iteration record, and the ``(C, B)`` corner matrix is stashed on
     ``last_corner_losses`` for the harness report).  Differentiable in
-    both parameters, including the second-order products BiSMO needs
-    (the stack primitive's ``create_graph`` fallback), and exposes the
-    FFT-free ``source_only_loss`` inner oracle through per-focus
-    intensity bases.
+    both parameters.  The loss splits at the aerial stack
+    (:meth:`loss_from_aerial` over :attr:`conditions`), which is what
+    BiSMO's matrix-free second-order oracles build on, and the
+    objective exposes the FFT-free ``source_only_loss`` inner oracle
+    through per-condition intensity bases.
     """
 
     def __init__(
@@ -506,13 +548,10 @@ class ProcessWindowSMOObjective:
         """Current corner-weight override (live adaptive weights)."""
         return live_corner_weights(self.adaptive_weights)
 
-    def _check_theta_m(self, theta_m) -> None:
-        if self._batched and (
-            theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles
-        ):
-            raise ValueError(
-                f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
-            )
+    def check_theta_m(self, theta_m) -> None:
+        """Raise ``ValueError`` unless ``theta_m`` is shaped like the
+        target (``(B, N, N)`` batched, ``(N, N)`` otherwise)."""
+        _check_theta_shape(theta_m, self.target)
 
     def _reduce(self, total: ad.Tensor, matrix: np.ndarray) -> ad.Tensor:
         self.last_corner_losses = matrix
@@ -528,23 +567,35 @@ class ProcessWindowSMOObjective:
             total = F.div(total, float(self.num_tiles))
         return total
 
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Robust L_smo across the window (one fused condition stack)."""
-        self._check_theta_m(theta_m)
-        source = source_from_theta(theta_j, self.config)
-        mask = mask_from_theta(theta_m, self.config)
-        total, matrix = windowed_corner_loss(
-            self.engine,
-            self.config,
-            mask,
+    @property
+    def conditions(self) -> tuple:
+        """The window's distinct pupil conditions: the condition axis of
+        the aerial stack :meth:`loss_from_aerial` consumes."""
+        return self.window.conditions()
+
+    def loss_from_aerial(self, stack: ad.Tensor) -> ad.Tensor:
+        """Robust L_smo from the ``(F, [B,] N, N)`` aerial stack over
+        :attr:`conditions` (FFT-free; stashes the corner matrix and the
+        per-tile losses like :meth:`loss`)."""
+        total, matrix = _windowed_loss_from_stack(
+            stack,
             self.target,
             self.window,
+            self.config,
             self.robust,
             self.tau,
-            source=source,
             weights=self._robust_weights(),
         )
         return self._reduce(total, matrix)
+
+    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
+        """Robust L_smo across the window (one fused condition stack)."""
+        self.check_theta_m(theta_m)
+        source = source_from_theta(theta_j, self.config)
+        mask = mask_from_theta(theta_m, self.config)
+        return self.loss_from_aerial(
+            self.engine.aerial_conditions(mask, source, self.conditions)
+        )
 
     def loss_reference(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """Per-condition reference loop: one independent imaging pass per
@@ -556,16 +607,13 @@ class ProcessWindowSMOObjective:
         It evaluates *this objective's engine* (its pupil stacks and
         source grid), so parity holds for custom engines too.
         """
-        self._check_theta_m(theta_m)
+        self.check_theta_m(theta_m)
         source = source_from_theta(theta_j, self.config)
         mask = mask_from_theta(theta_m, self.config)
-        j = self.engine.source_weights(source)
-        jn = F.div(j, F.add(F.sum(j), 1e-12))
+        jn = self.engine.normalized_source_weights(source)
         aerials = [
             F.incoherent_image(mask, stack, jn, conj_pairs=pairs)
-            for stack, pairs in self.engine.condition_stacks(
-                self.window.conditions()
-            )
+            for stack, pairs in self.engine.condition_stacks(self.conditions)
         ]
         losses, matrix = _corner_loss_terms(
             aerials, self.target, self.window, self.config
@@ -613,7 +661,7 @@ class ProcessWindowSMOObjective:
             masks = mask_from_theta(ad.Tensor(theta_m), self.config).data
         bases = [
             ad.Tensor(engine.source_intensity_basis(masks, stack.data))
-            for stack, _ in engine.condition_stacks(self.window.conditions())
+            for stack, _ in engine.condition_stacks(self.conditions)
         ]
 
         def loss_j(theta_j: ad.Tensor) -> ad.Tensor:
@@ -632,6 +680,9 @@ class ProcessWindowSMOObjective:
                 total = F.div(total, float(self.num_tiles))
             return total
 
+        #: One basis per entry of :attr:`conditions`, reused by BiSMO's
+        #: second-order oracles at the same ``theta_M``.
+        loss_j.bases = tuple(basis.data for basis in bases)
         return loss_j
 
     def images(
@@ -653,7 +704,7 @@ class ProcessWindowSMOObjective:
         with ad.no_grad():
             source = source_from_theta(ad.Tensor(theta_j), self.config).data
             mask = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        conditions = self.window.conditions()
+        conditions = self.conditions
         stack = self.engine.aerial_conditions_fast(mask, source, conditions)
         nominal_fi = int(
             np.argmin([ab.magnitude_nm(self.config) for ab in conditions])
@@ -687,7 +738,9 @@ class AbbeSMOObjective:
 
     This single callable backs SO, MO and all BiSMO levels (the paper
     uses the same objective at both levels, Eq. (9)); which parameter a
-    solver differentiates decides the role.
+    solver differentiates decides the role.  The loss splits at the
+    aerial image: :meth:`loss_from_aerial` over the one-condition
+    stack at :attr:`conditions`.
     """
 
     num_tiles: int = 1
@@ -715,12 +768,30 @@ class AbbeSMOObjective:
         else:
             self.engine = engine_for(config, "abbe")
 
+    @property
+    def conditions(self) -> tuple:
+        """The engine's own pupil condition: nominal imaging is the
+        one-condition aerial stack."""
+        return (self.engine.aberration,)
+
+    def check_theta_m(self, theta_m) -> None:
+        """Raise ``ValueError`` unless ``theta_m`` is ``(N, N)``."""
+        _check_theta_shape(theta_m, self.target)
+
+    def loss_from_aerial(self, stack: ad.Tensor) -> ad.Tensor:
+        """L_smo from the ``(1, N, N)`` aerial stack (FFT-free)."""
+        return smo_loss_from_aerial(
+            drop_condition_axis(stack), self.target, self.config
+        )
+
     def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """L_smo as an autodiff scalar (differentiable in both thetas)."""
+        self.check_theta_m(theta_m)
         source = source_from_theta(theta_j, self.config)
         mask = mask_from_theta(theta_m, self.config)
-        aerial = self.engine.aerial(mask, source)
-        return smo_loss_from_aerial(aerial, self.target, self.config)
+        return self.loss_from_aerial(
+            self.engine.aerial_conditions(mask, source, self.conditions)
+        )
 
     def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
         """All intermediate images at the current parameters.
@@ -923,15 +994,19 @@ class BatchedSMOObjective:
         #: derived from that call's aerial at no extra imaging cost.
         self.last_tile_losses: Optional[np.ndarray] = None
 
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Batch SMO loss; ``theta_m`` is a ``(B, N, N)`` parameter stack."""
-        if theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles:
-            raise ValueError(
-                f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
-            )
-        source = source_from_theta(theta_j, self.config)
-        masks = mask_from_theta(theta_m, self.config)
-        aerial = self.engine.aerial(masks, source)  # (B, N, N), one fused stack
+    @property
+    def conditions(self) -> tuple:
+        """The engine's own pupil condition (one-condition stack)."""
+        return (self.engine.aberration,)
+
+    def check_theta_m(self, theta_m) -> None:
+        """Raise ``ValueError`` unless ``theta_m`` is ``(B, N, N)``."""
+        _check_theta_shape(theta_m, self.targets)
+
+    def loss_from_aerial(self, stack: ad.Tensor) -> ad.Tensor:
+        """Batch SMO loss from the ``(1, B, N, N)`` aerial stack
+        (FFT-free; stashes the per-tile losses like :meth:`loss`)."""
+        aerial = drop_condition_axis(stack)
         self.last_tile_losses = _tile_losses_from_aerial(
             aerial.data, self.targets.data, self.config
         )
@@ -939,6 +1014,16 @@ class BatchedSMOObjective:
         if self.reduction == "mean":
             total = F.div(total, float(self.num_tiles))
         return total
+
+    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
+        """Batch SMO loss; ``theta_m`` is a ``(B, N, N)`` parameter stack."""
+        self.check_theta_m(theta_m)
+        source = source_from_theta(theta_j, self.config)
+        masks = mask_from_theta(theta_m, self.config)
+        # One fused stack for the whole batch: (1, B, N, N).
+        return self.loss_from_aerial(
+            self.engine.aerial_conditions(masks, source, self.conditions)
+        )
 
     def tile_losses(self, theta_j: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
         """Per-tile loss vector ``(B,)`` via the inference fast path."""
@@ -952,8 +1037,9 @@ class BatchedSMOObjective:
         fixed masks the per-source-point intensity basis ``X[b, s]`` is a
         constant; the returned closure rebuilds ``L_smo(theta_J)`` from
         ``X`` with a graph that never touches an FFT.  Exactly equal to
-        ``loss(theta_j, theta_m)`` as a function of ``theta_j`` — this is
-        the cheap inner-Hessian (HVP) oracle BiSMO uses in joint mode.
+        ``loss(theta_j, theta_m)`` as a function of ``theta_j`` — BiSMO's
+        inner SO steps run on it, and its ``bases`` attribute carries
+        ``X`` to the second-order oracles of the same outer iteration.
         Returns ``None`` when the engine cannot expose the basis
         (e.g. Hopkins, where the source is baked into the TCC).
         """
@@ -973,6 +1059,9 @@ class BatchedSMOObjective:
                 total = F.div(total, float(self.num_tiles))
             return total
 
+        #: The basis of the one entry of :attr:`conditions`, reused by
+        #: BiSMO's second-order oracles at the same ``theta_M``.
+        loss_j.bases = (basis.data,)
         return loss_j
 
     def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:

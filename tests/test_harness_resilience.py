@@ -575,6 +575,21 @@ class TestChunkFallback:
         for got, want in zip(faulted, clean):
             np.testing.assert_allclose(got, want, atol=1e-13)
 
+    def test_intensity_basis_survives_memory_error(self):
+        """The source-intensity basis streams over source-axis chunks
+        under the same fallback; every plane is transformed on its own,
+        so the halved-chunk retry rebuilds the identical basis."""
+        cfg = OpticalConfig.preset("tiny")
+        engine = AbbeImaging(cfg)
+        masks = np.random.default_rng(6).uniform(
+            size=(2, cfg.mask_size, cfg.mask_size)
+        )
+        clean = engine.source_intensity_basis(masks)
+        fi.install_plan("fftlib.stream_chunk@1=raise:MemoryError")
+        faulted = engine.source_intensity_basis(masks)
+        assert fi.active_plan().visits("fftlib.stream_chunk") == 2
+        np.testing.assert_array_equal(faulted, clean)
+
 
 # ----------------------------------------------------------------------
 # CLI flags
