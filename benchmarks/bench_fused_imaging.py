@@ -10,8 +10,8 @@ forward, hand-written recomputing VJP, fftlib dispatch) must be
 
 than the mathematically identical composed graph ``fft2 -> mul ->
 ifft2 -> abs2 -> mul -> sum`` (``AbbeImaging(..., fused=False)``),
-with mask/source gradients matching to 1e-8 and BiSMO end-to-end loss
-traces unchanged to 1e-10.  Results are appended to
+with mask/source gradients matching to 1e-8 and BiSMO-NMN and
+BiSMO-UNROLL end-to-end loss traces unchanged to 1e-10.  Results are appended to
 ``BENCH_fused_imaging.json`` via :mod:`bench_runner` so future PRs
 inherit a perf trajectory baseline.
 
@@ -100,25 +100,28 @@ def run_parity(setup=None) -> Dict[str, float]:
     np.testing.assert_allclose(lf, lc, rtol=LOSS_RTOL)
     np.testing.assert_allclose(gjf, gjc, rtol=GRAD_RTOL, atol=1e-12)
     np.testing.assert_allclose(gmf, gmc, rtol=GRAD_RTOL, atol=1e-12)
-    # End-to-end: a short joint BiSMO-NMN run (inner SO steps, exact
-    # HVPs through the create_graph fallback, outer Adam updates) must
-    # produce the same loss trace on both graphs.
-    traces = []
-    for objective in (fused, composed):
-        solver = BiSMO(
-            cfg, targets, method="nmn", unroll_steps=2, terms=3,
-            objective=objective,
-        )
-        result = solver.run(source, iterations=2)
-        traces.append([rec.loss for rec in result.history])
-    np.testing.assert_allclose(traces[0], traces[1], rtol=LOSS_RTOL)
-    return {
+    # End-to-end: short joint BiSMO-NMN and BiSMO-UNROLL runs (inner SO
+    # steps, exact second-order products from the split oracles — the
+    # unroll as a reverse sweep of them — outer Adam updates) must
+    # produce the same loss traces on both graphs.
+    out: Dict = {
         "loss": lf,
         "grad_j_maxdiff": float(np.abs(gjf - gjc).max()),
         "grad_m_maxdiff": float(np.abs(gmf - gmc).max()),
-        "bismo_loss_trace_fused": traces[0],
-        "bismo_loss_trace_composed": traces[1],
     }
+    for method, label in (("nmn", "bismo"), ("unroll", "unroll")):
+        traces = []
+        for objective in (fused, composed):
+            solver = BiSMO(
+                cfg, targets, method=method, unroll_steps=2, terms=3,
+                objective=objective,
+            )
+            result = solver.run(source, iterations=2)
+            traces.append([rec.loss for rec in result.history])
+        np.testing.assert_allclose(traces[0], traces[1], rtol=LOSS_RTOL)
+        out[f"{label}_loss_trace_fused"] = traces[0]
+        out[f"{label}_loss_trace_composed"] = traces[1]
+    return out
 
 
 def run_perf(setup=None, rounds: int = 5) -> Dict[str, float]:
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
         payload["parity"] = run_parity(setup)
         print(
             f"[{args.backend}] parity ok: grads match to {GRAD_RTOL:g}, "
-            f"BiSMO traces to {LOSS_RTOL:g}"
+            f"BiSMO-NMN/UNROLL traces to {LOSS_RTOL:g}"
         )
         perf = run_perf(setup, rounds=args.rounds)
         payload["perf"] = perf

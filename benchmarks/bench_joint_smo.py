@@ -13,7 +13,10 @@ objective's ``source_only_loss`` oracle — Abbe's aerial is linear in the
 normalized source weights, so with theta_M fixed across an outer
 iteration every inner SO step and inner-Hessian product rides one
 FFT-free intensity-basis graph.  The per-clip loop, faithful to the
-pre-batching consumer pattern, has neither.  Solver knobs are the
+pre-batching consumer pattern, has neither: it takes its exact HVPs by
+double backward, which needs the composed-op engine
+(``AbbeImaging(cfg, fused=False)``; fused imaging is
+once-differentiable).  Solver knobs are the
 paper's Algorithm 2 defaults (T = 3 inner steps, K = 5 Neumann terms).
 
 Run like every other bench module, e.g.::
@@ -38,7 +41,7 @@ import pytest
 
 from repro.harness.runner import _annular_source
 from repro.layouts import dataset_by_name, tile_stack
-from repro.optics import OpticalConfig
+from repro.optics import AbbeImaging, OpticalConfig
 from repro.smo import BatchedSMOObjective, BiSMO, LoopedSMOObjective
 
 from conftest import rescale_clips
@@ -60,6 +63,11 @@ def setup():
     targets = tile_stack(ds, cfg)
     source = _annular_source(cfg)
     return cfg, targets, source
+
+
+def _looped(cfg, targets) -> LoopedSMOObjective:
+    """The per-clip reference on the twice-differentiable engine."""
+    return LoopedSMOObjective(cfg, targets, engine=AbbeImaging(cfg, fused=False))
 
 
 def _solve(cfg, targets, source, objective) -> "BiSMO":
@@ -89,7 +97,7 @@ def test_joint_per_clip_loop(benchmark, setup):
     """The status-quo pattern: B independent single-tile graphs summed."""
     cfg, targets, source = setup
     result = benchmark(
-        lambda: _solve(cfg, targets, source, LoopedSMOObjective(cfg, targets))
+        lambda: _solve(cfg, targets, source, _looped(cfg, targets))
     )
     benchmark.extra_info["clips"] = NUM_CLIPS
     assert result.num_tiles == NUM_CLIPS
@@ -100,7 +108,7 @@ def test_joint_speedup_and_parity(setup):
     final losses matching to 1e-8 relative."""
     cfg, targets, source = setup
     batched = _solve(cfg, targets, source, BatchedSMOObjective(cfg, targets))
-    looped = _solve(cfg, targets, source, LoopedSMOObjective(cfg, targets))
+    looped = _solve(cfg, targets, source, _looped(cfg, targets))
     np.testing.assert_allclose(
         batched.final_tile_losses, looped.final_tile_losses, rtol=1e-8
     )
@@ -120,7 +128,7 @@ def test_joint_speedup_and_parity(setup):
         lambda: _solve(cfg, targets, source, BatchedSMOObjective(cfg, targets))
     )
     t_loop = best_of(
-        lambda: _solve(cfg, targets, source, LoopedSMOObjective(cfg, targets))
+        lambda: _solve(cfg, targets, source, _looped(cfg, targets))
     )
     speedup = t_loop / t_batch
     print(

@@ -5,7 +5,7 @@ recreates the part of ``torch.autograd`` that the BiSMO bilevel solvers
 require: a dynamic graph over float64/complex128 numpy arrays, functional
 ops with double-backward-safe VJPs (FFTs included), a ``grad`` driver with
 ``create_graph``, and exact/FD Hessian-vector and mixed Jacobian-vector
-products.
+products.  Fused imaging is once-differentiable (:class:`FusedDoubleBackwardError`).
 
 Quick example::
 
@@ -29,6 +29,7 @@ from .grad import (
     numerical_gradient,
 )
 from . import functional
+from .functional import FusedDoubleBackwardError
 
 __all__ = [
     "Tensor",
@@ -45,4 +46,5 @@ __all__ = [
     "gradcheck",
     "numerical_gradient",
     "functional",
+    "FusedDoubleBackwardError",
 ]

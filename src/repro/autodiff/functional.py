@@ -5,9 +5,10 @@ then (if grad mode is on and any input requires grad) attach a VJP closure.
 VJP closures are written **in terms of these same functional ops**, so a
 backward pass executed with graph recording enabled (``create_graph=True``
 in :func:`repro.autodiff.grad.grad`) is itself differentiable.  That
-property gives exact Hessian-vector products by double backward: the
-BiSMO-UNROLL path and the reference oracles BiSMO's split-at-the-aerial
-oracles are tested against.
+property gives exact Hessian-vector products by double backward — the
+reference BiSMO's oracles are tested against.  The exception is the
+fused imaging node: its streamed VJP is graph-free, so fused imaging is
+**once-differentiable** (:class:`FusedDoubleBackwardError`).
 
 Complex gradients use the convention ``grad(z) = dL/dRe(z) + 1j*dL/dIm(z)``
 for a real-valued loss ``L``; under this convention the VJP of a
@@ -27,6 +28,7 @@ from ..obs import span as _obs_span
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
+    "FusedDoubleBackwardError",
     "tensor",
     "zeros",
     "ones",
@@ -504,6 +506,11 @@ def ifft2(x: ArrayLike) -> Tensor:
 # ----------------------------------------------------------------------
 # fused incoherent imaging (the Abbe / SOCS hot path)
 # ----------------------------------------------------------------------
+class FusedDoubleBackwardError(RuntimeError):
+    """A ``create_graph=True`` backward reached the fused imaging node,
+    which is once-differentiable (its streamed VJP records no graph)."""
+
+
 def _check_incoherent_args(
     mask: Tensor, pupil_stack: Tensor, weights: Tensor
 ) -> Tuple[int, int]:
@@ -795,13 +802,11 @@ def incoherent_image_stack(
     pairing is ignored (exact fallback) for complex masks, complex
     kernels or a complex upstream gradient.
 
-    Under ``ad.grad(create_graph=True)`` the VJP falls back to
-    composed-op gradient expressions, so second-order products stay
-    exactly differentiable.  Only BiSMO-UNROLL and objectives without a
-    post-aerial loss split take that path; BiSMO's exact HVP and mixed
-    oracles use first-order streamed passes and
-    :func:`incoherent_stack_mask_vjp` instead.  The per-stack passes
-    fan out across the
+    The VJP is once-differentiable: under ``ad.grad(create_graph=True)``
+    it raises :class:`FusedDoubleBackwardError` (BiSMO's oracles use
+    :func:`incoherent_stack_mask_vjp`; double-backward references use
+    ``AbbeImaging(config, fused=False)``).  The per-stack passes fan out
+    across the
     :func:`repro.optics.fftlib.map_conditions` pool with private
     buffers and fixed-order reductions, so results are **bitwise
     identical** for any worker count.
@@ -895,14 +900,10 @@ def _incoherent_stack(
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         if is_grad_enabled():
-            # create_graph backward: composed-op gradient expressions,
-            # themselves differentiable (the BiSMO-UNROLL path and
-            # objectives without a post-aerial loss split).
-            per_stack = (
-                [getitem(g, fi) for fi in range(len(stacks))] if stacked else [g]
-            )
-            return _incoherent_stack_vjp_composed(
-                per_stack, mask, stacks, weights
+            raise FusedDoubleBackwardError(
+                f"{op} is once-differentiable; for create_graph=True use "
+                "BiSMO's HypergradientContext oracles or the composed "
+                "engine AbbeImaging(config, fused=False)"
             )
         gd = g.data if stacked else g.data[None]
         gm, gw = _streamed_backward(
@@ -1050,44 +1051,6 @@ def incoherent_stack_mask_vjp(
     )
     gm = gm[0] if single else gm
     return gm if m.is_complex else gm.real
-
-
-def _incoherent_stack_vjp_composed(
-    per_stack: Sequence[Tensor],
-    mask: Tensor,
-    stacks: Tuple[Tensor, ...],
-    weights: Tensor,
-) -> Tuple[Optional[Tensor], ...]:
-    """Differentiable gradients via the composed ops (create_graph path).
-
-    Rebuilds each condition's fields with graph-recording ops from ONE
-    shared ``fft2(mask)`` node and writes the exact gradient formulas
-    with them, so the result can be differentiated again (BiSMO-UNROLL,
-    and the double-backward reference oracles of objectives without a
-    post-aerial loss split).  ``per_stack[f]`` is condition ``f``'s
-    upstream gradient.
-    """
-    s, n = stacks[0].shape[0], stacks[0].shape[-1]
-    single = mask.ndim == 2
-    m3 = reshape(mask, (1, n, n)) if single else mask
-    b = m3.shape[0]
-    fmr = reshape(fft2(m3), (b, 1, n, n))  # shared spectrum node
-    gm_out: Optional[Tensor] = None
-    gw_out: Optional[Tensor] = None
-    for gf, st in zip(per_stack, stacks):
-        g4 = reshape(gf, (b, 1, n, n))
-        p4 = reshape(st, (1, s, n, n))
-        fields = ifft2(mul(p4, fmr))  # (B, S, N, N)
-        if weights.requires_grad:
-            gw_f = sum(mul(g4, abs2(fields)), axis=(0, 2, 3))
-            gw_out = gw_f if gw_out is None else add(gw_out, gw_f)
-        if mask.requires_grad:
-            wf = reshape(weights, (1, s, 1, 1))
-            gfields = mul(mul(g4, 2.0), mul(wf, fields))
-            gm = ifft2(sum(mul(fft2(gfields), conj(p4)), axis=1))
-            gm_f = reshape(gm, (n, n)) if single else gm
-            gm_out = gm_f if gm_out is None else add(gm_out, gm_f)
-    return (gm_out,) + (None,) * len(stacks) + (gw_out,)
 
 
 # ----------------------------------------------------------------------

@@ -71,9 +71,9 @@ class AbbeImaging:
     fused:
         When True (default) every differentiable image is one fused
         :func:`repro.autodiff.functional.incoherent_image_stack` node
-        with a streamed hand-written VJP; ``False`` selects the
-        pre-fusion composed-op graph (kept as the parity/benchmark
-        reference — see ``benchmarks/bench_fused_imaging.py``).
+        with a once-differentiable streamed VJP; ``False`` selects the
+        pre-fusion composed-op graph (the parity/benchmark and
+        double-backward reference — see ``bench_fused_imaging.py``).
 
     Both :meth:`aerial` arguments are autodiff tensors, so gradients flow
     to the mask *and* the source — the property that Hopkins/SOCS lacks

@@ -10,7 +10,8 @@ term plus the best-response term through theta_J*.  Three approximations
 of the inverse inner Hessian are implemented, keyed ``"fd"`` /
 ``"nmn"`` / ``"cg"`` — finite-difference (:mod:`repro.smo.fd`),
 truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
-(:mod:`repro.smo.cg`); each outer iteration
+(:mod:`repro.smo.cg`), plus the ``"unroll"`` reverse-mode reference
+(:mod:`repro.smo.unroll`); each outer iteration
 
 1. unrolls ``T`` inner SO steps to track theta_J* (Alg. 2 line 2),
 2. builds a :class:`HypergradientContext` — one fused forward and one
@@ -27,9 +28,9 @@ Joint multi-clip SMO: passing a ``(B, N, N)`` target stack (or a
 :class:`repro.smo.objective.BatchedSMOObjective`) optimizes one shared
 ``theta_J`` against a ``(B, N, N)`` ``theta_M`` stack; hypergradients
 and HVPs flow through the fused batched forward and every
-:class:`IterationRecord` carries the per-tile loss vector.  Only
-BiSMO-UNROLL still differentiates through imaging twice (the fused
-node's composed ``create_graph`` fallback).
+:class:`IterationRecord` carries the per-tile loss vector.  Every
+solver, UNROLL included, takes its second-order products from these
+oracles: fused imaging is once-differentiable.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .. import autodiff as ad
 from ..autodiff import functional as F
 from ..obs import observe_iteration
 from ..obs import span as obs_span
-from ..opt import make_optimizer
+from ..opt import Optimizer, make_optimizer
 from ..optics import OpticalConfig, ProcessWindow
 from ..optics.abbe import AbbeImaging
 from ..utils.timing import tick
@@ -62,6 +63,9 @@ from .parametrization import (
 from .state import IterationRecord, SMOResult
 
 __all__ = ["HypergradientContext", "BiSMO"]
+
+#: Second-order oracle modes of :class:`HypergradientContext`.
+HVP_MODES = ("exact", "fd")
 
 
 class HypergradientContext:
@@ -106,7 +110,8 @@ class HypergradientContext:
     :class:`repro.smo.objective.LoopedSMOObjective` reference) take the
     generic path: one loss evaluation with ``create_graph=True`` and
     both products by a second backward pass through the gradient graph
-    — the double-backward reference the split path is tested against.
+    — the double-backward reference the split path is tested against
+    (on a composed engine, ``AbbeImaging(config, fused=False)``).
     ``hvp_mode="fd"`` uses central differences of fresh gradient
     evaluations instead (cheaper in memory — the DARTS trick).
 
@@ -125,7 +130,7 @@ class HypergradientContext:
         fd_eps: float = 1e-2,
         so_loss_fn: Optional[Callable[[ad.Tensor], ad.Tensor]] = None,
     ):
-        if hvp_mode not in ("exact", "fd"):
+        if hvp_mode not in HVP_MODES:
             raise ValueError(f"unknown hvp_mode {hvp_mode!r}")
         self.objective = objective
         self.hvp_mode = hvp_mode
@@ -195,6 +200,14 @@ class HypergradientContext:
             self._jn, [self._tj], grad_output=self._v, create_graph=True
         )
         self.grad_j = self._jt_v.data.copy()
+
+    def at(self, theta_j: np.ndarray) -> "HypergradientContext":
+        """This context's oracles at another theta_J (same theta_M,
+        mode and source-only closure, so the bases are shared)."""
+        return HypergradientContext(
+            self.objective, theta_j, self._tm.data, self.hvp_mode,
+            self.fd_eps, self._so_loss_fn,
+        )
 
     # -- split-path building blocks --------------------------------------
     def _basis_apply(self, u: np.ndarray) -> np.ndarray:
@@ -270,25 +283,25 @@ class HypergradientContext:
 
     def _fd_second_order(self, vec: np.ndarray, wrt: str) -> np.ndarray:
         """Central difference of the relevant first-order gradient while
-        perturbing theta_J along ``vec`` (DARTS-style step scaling)."""
-        norm = float(np.linalg.norm(vec.ravel()))
-        if norm == 0.0:
+        perturbing theta_J along ``vec`` (:func:`repro.autodiff.hvp_fd` /
+        :func:`repro.autodiff.mixed_jvp_fd`, DARTS-style step scaling)."""
+        if float(np.linalg.norm(vec.ravel())) == 0.0:
+            # mixed_jvp_fd rejects a zero direction; the product is zero.
             return np.zeros_like(vec if wrt == "j" else self._tm.data)
-        h = self.fd_eps / norm
-        outs = []
-        for sign in (1.0, -1.0):
-            tj = ad.Tensor(self._tj.data + sign * h * vec, requires_grad=True)
-            if wrt == "j" and self._so_loss_fn is not None:
-                # theta_M is fixed along this perturbation: the FFT-free
-                # source-only graph gives the same gradient, cheaper.
-                (g,) = ad.grad(self._so_loss_fn(tj), [tj])
-            else:
-                tm = ad.Tensor(self._tm.data, requires_grad=True)
-                loss = self.objective.loss(tj, tm)
-                target = tj if wrt == "j" else tm
-                (g,) = ad.grad(loss, [target])
-            outs.append(g.data)
-        return (outs[0] - outs[1]) / (2.0 * h)
+        # theta_M is fixed along this perturbation: the FFT-free
+        # source-only graph gives the same theta_J gradient, cheaper.
+        so_loss = self._so_loss_fn if wrt == "j" else None
+
+        def grad_fn(t: ad.Tensor) -> ad.Tensor:
+            tj = ad.Tensor(t.data, requires_grad=True)
+            if so_loss is not None:
+                return ad.grad(so_loss(tj), [tj])[0]
+            tm = ad.Tensor(self._tm.data, requires_grad=True)
+            target = tj if wrt == "j" else tm
+            return ad.grad(self.objective.loss(tj, tm), [target])[0]
+
+        fd = ad.hvp_fd if wrt == "j" else ad.mixed_jvp_fd
+        return fd(grad_fn, self._tj, ad.Tensor(vec), eps=self.fd_eps).data
 
 
 def _splits_at_aerial(objective) -> bool:
@@ -300,25 +313,50 @@ def _splits_at_aerial(objective) -> bool:
     )
 
 
+def inner_iterates(
+    objective: AbbeSMOObjective,
+    theta_j: np.ndarray,
+    theta_m: np.ndarray,
+    steps: int,
+    optimizer: Optimizer,
+) -> Tuple[List[np.ndarray], Optional[Callable[[ad.Tensor], ad.Tensor]]]:
+    """``[theta_0, ..., theta_T]`` of ``steps`` inner SO steps at fixed
+    theta_M (Alg. 2 line 2), and the source-only closure (or None) that
+    carried them and whose bases the oracles reuse."""
+    factory = getattr(objective, "source_only_loss", None)
+    so_loss = factory(theta_m) if factory is not None else None
+    tm_fixed = ad.Tensor(theta_m)
+    iterates = [theta_j]
+    for _ in range(steps):
+        tj = ad.Tensor(iterates[-1], requires_grad=True)
+        loss = so_loss(tj) if so_loss is not None else objective.loss(tj, tm_fixed)
+        (gj,) = ad.grad(loss, [tj])
+        iterates.append(optimizer.step(iterates[-1], gj.data))
+    return iterates, so_loss
+
+
 HypergradientFn = Callable[
     [HypergradientContext, float, int, float, Optional[np.ndarray]],
     Tuple[np.ndarray, Optional[np.ndarray]],
 ]
 
 
-def _resolve_method(method: str) -> Optional[HypergradientFn]:
+def _resolve_method(method: str) -> HypergradientFn:
     from .cg import cg_hypergradient
     from .fd import fd_hypergradient
     from .nmn import neumann_hypergradient
+    from .unroll import reverse_sweep_hypergradient
 
-    table = {"fd": fd_hypergradient, "nmn": neumann_hypergradient, "cg": cg_hypergradient}
+    table = {
+        "fd": fd_hypergradient,
+        "nmn": neumann_hypergradient,
+        "cg": cg_hypergradient,
+        "unroll": reverse_sweep_hypergradient,
+    }
     key = method.lower()
-    if key == "unroll":
-        return None  # handled structurally in BiSMO.run (RMD path)
     if key not in table:
         raise KeyError(
-            f"unknown BiSMO method {method!r}; choose from "
-            f"{sorted(table) + ['unroll']}"
+            f"unknown BiSMO method {method!r}; choose from {sorted(table)}"
         )
     return table[key]
 
@@ -396,16 +434,20 @@ class BiSMO:
         self.method = method.lower()
         self.seed = int(seed)
         self._hyper_fn = _resolve_method(method)
-        if self.method == "nmn" and self._hyper_fn is not None:
+        if self.method == "nmn":
             # nmn's safeguard draws a power-iteration start vector; key
             # it on the solver's seed (routed via repro.utils.seed).
             self._hyper_fn = partial(self._hyper_fn, seed=self.seed)
-        if self._hyper_fn is None and inner_optimizer.lower() != "sgd":
+        if hvp_mode not in HVP_MODES:
+            raise ValueError(f"unknown hvp_mode {hvp_mode!r}; choose {HVP_MODES}")
+        if self.method == "unroll" and inner_optimizer.lower() != "sgd":
             raise ValueError(
                 "BiSMO-UNROLL differentiates through plain SGD inner "
                 f"updates; inner_optimizer={inner_optimizer!r} is not "
                 "supported on the unroll path (use 'sgd' or an IFT method)"
             )
+        if self.method == "unroll" and unroll_steps < 1:
+            raise ValueError(f"BiSMO-UNROLL needs {unroll_steps=} >= 1")
         self.unroll_steps = unroll_steps
         self.terms = terms
         self.inner_lr = inner_lr
@@ -415,12 +457,6 @@ class BiSMO:
         self.hvp_mode = hvp_mode
         self.damping = damping
         self.method_name = f"BiSMO-{self.method.upper()}"
-
-    def _stashed_tile_losses(self) -> Optional[np.ndarray]:
-        """Per-tile losses of the objective's latest evaluation (joint
-        runs only; None for single tiles).  Batched objectives stash the
-        vector during ``loss()`` at no extra imaging cost."""
-        return getattr(self.objective, "last_tile_losses", None)
 
     def run(
         self,
@@ -448,63 +484,17 @@ class BiSMO:
         start = tick()
         for it in range(iterations):
             t0 = tick()
-            if self._hyper_fn is None:
-                # BiSMO-UNROLL: reverse-mode differentiation through the
-                # inner loop (the memory-heavy reference strategy).
-                from .unroll import unrolled_hypergradient
-
-                with obs_span(
-                    "solver.iter", solver=self.method_name, iteration=it
-                ):
-                    hyper, theta_j, loss_value = unrolled_hypergradient(
-                        self.objective,
-                        theta_j,
-                        theta_m,
-                        steps=self.unroll_steps,
-                        inner_lr=self.inner_lr,
-                        inner_optimizer=self.inner_optimizer,
-                    )
-                    tile_losses = self._stashed_tile_losses()
-                    theta_m = outer_opt.step(theta_m, hyper)
-                    corner_w = adaptive_corner_update(self.objective)
-                rec = IterationRecord(
-                    it,
-                    loss_value,
-                    tick() - t0,
-                    "bilevel",
-                    tile_losses=tile_losses,
-                    corner_weights=corner_w,
-                )
-                observe_iteration(rec, grad=hyper)
-                history.append(rec)
-                if callback and callback(rec):
-                    break
-                continue
             with obs_span(
                 "solver.iter", solver=self.method_name, iteration=it
             ):
                 # ---- Alg. 2 line 2: unroll T inner SO steps -----------
-                # theta_M is fixed for the whole outer iteration, so a
-                # batched objective's FFT-free source-only closure (one
-                # intensity basis, shared with the HVP oracle below)
-                # carries every inner step and Hessian product of this
-                # iteration.
-                so_factory = getattr(self.objective, "source_only_loss", None)
-                so_loss = (
-                    so_factory(theta_m) if so_factory is not None else None
+                # theta_M is fixed for the whole outer iteration, so one
+                # source-only closure (one intensity basis) carries every
+                # inner step and Hessian product of this iteration.
+                iterates, so_loss = inner_iterates(
+                    self.objective, theta_j, theta_m, self.unroll_steps, inner_opt
                 )
-                if so_loss is not None:
-                    for _ in range(self.unroll_steps):
-                        tj = ad.Tensor(theta_j, requires_grad=True)
-                        (gj,) = ad.grad(so_loss(tj), [tj])
-                        theta_j = inner_opt.step(theta_j, gj.data)
-                else:
-                    tm_fixed = ad.Tensor(theta_m)
-                    for _ in range(self.unroll_steps):
-                        tj = ad.Tensor(theta_j, requires_grad=True)
-                        loss_so = self.objective.loss(tj, tm_fixed)
-                        (gj,) = ad.grad(loss_so, [tj])
-                        theta_j = inner_opt.step(theta_j, gj.data)
+                theta_j = iterates[-1]
                 # ---- Alg. 2 lines 5-12: hypergradient -----------------
                 ctx = HypergradientContext(
                     self.objective,
@@ -514,16 +504,21 @@ class BiSMO:
                     so_loss_fn=so_loss,
                 )
                 # Capture per-tile losses and the corner matrix now: they
-                # belong to ctx's loss evaluation, and FD-mode
-                # hypergradients re-evaluate the objective at perturbed
-                # points below (clobbering the stashed diagnostics).
-                tile_losses = self._stashed_tile_losses()
+                # belong to ctx's loss evaluation, and FD-mode products
+                # and the unrolled sweep's contexts re-evaluate the
+                # objective at other points below (clobbering the
+                # stashed diagnostics).
+                tile_losses = getattr(self.objective, "last_tile_losses", None)
                 corner_matrix = getattr(
                     self.objective, "last_corner_losses", None
                 )
+                # BiSMO-UNROLL sweeps back through the inner iterates.
+                sweep = (
+                    {"iterates": iterates[:-1]} if self.method == "unroll" else {}
+                )
                 with obs_span("solver.hypergrad", solver=self.method_name):
                     hyper, warm = self._hyper_fn(
-                        ctx, self.inner_lr, self.terms, self.damping, warm
+                        ctx, self.inner_lr, self.terms, self.damping, warm, **sweep
                     )
                 # ---- Alg. 2 line 13: outer MO step --------------------
                 theta_m = outer_opt.step(theta_m, hyper)

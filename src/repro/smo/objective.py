@@ -1089,7 +1089,9 @@ class LoopedSMOObjective:
     code it stands in for.  Kept as the equivalence oracle for the
     batched solver tests and the wall-clock baseline of
     ``benchmarks/bench_joint_smo.py``; production code should use the
-    fused batched objective.
+    fused batched objective.  Without the aerial split, BiSMO's exact
+    oracles differentiate it twice, so build it on a composed engine
+    (``AbbeImaging(config, fused=False)``) for exact-mode BiSMO.
     """
 
     def __init__(

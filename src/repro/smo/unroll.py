@@ -3,24 +3,48 @@
 Section 3.2.1 notes that unrolling many inner SO steps and
 differentiating through the optimization path "results in a linear
 increase in memory and computational load" — this module implements
-exactly that reference strategy (reverse-mode / RMD hypergradients, as
-in early DARTS-second-order and MAML) so the IFT-based methods can be
-compared against it.  The T inner SGD updates are built *inside* the
-autodiff graph; the outer gradient then flows through every unrolled
-step.
+that reference strategy (reverse-mode / RMD hypergradients, as in early
+DARTS-second-order and MAML) so the IFT-based methods can be compared
+against it.  Through T plain SGD steps it is a backward sweep of
+oracle products (:class:`repro.smo.bismo.HypergradientContext`) at the
+stored iterates: from ``lambda = dL/dtheta_J``, ``hyper = dL/dtheta_M``
+at ``theta_T``, for t = T-1 .. 0 ``hyper -= xi * mixed_t(lambda)`` and
+``lambda -= xi * hvp_t(lambda)``; imaging is never differentiated twice.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import autodiff as ad
-from ..autodiff import functional as F
+from ..opt import make_optimizer
+from .bismo import HypergradientContext, inner_iterates
 from .objective import AbbeSMOObjective
 
-__all__ = ["unrolled_hypergradient"]
+__all__ = ["unrolled_hypergradient", "reverse_sweep_hypergradient"]
+
+
+def reverse_sweep_hypergradient(
+    ctx: HypergradientContext,
+    inner_lr: float,
+    terms: int,
+    damping: float,
+    warm: Optional[np.ndarray],
+    iterates: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Reverse sweep from ``ctx`` at ``theta_T`` over the inner iterates
+    ``theta_0 .. theta_{T-1}``; ``terms``, ``damping`` and ``warm`` are
+    accepted for interface parity with the IFT strategies but unused."""
+    del terms, damping  # not used by the unrolled strategy
+    lam = ctx.grad_j
+    hyper = ctx.grad_m
+    for t in range(len(iterates) - 1, -1, -1):
+        ctx_t = ctx.at(iterates[t])
+        hyper = hyper - inner_lr * ctx_t.mixed_vjp(lam)
+        if t > 0:  # theta_0 does not depend on theta_M
+            lam = lam - inner_lr * ctx_t.hvp(lam)
+    return hyper, warm
 
 
 def unrolled_hypergradient(
@@ -34,11 +58,9 @@ def unrolled_hypergradient(
     """Differentiate L_mo through ``steps`` unrolled inner SGD updates.
 
     Returns ``(hypergradient_wrt_theta_m, new_theta_j, loss_value)``.
-    Memory grows linearly with ``steps`` (every intermediate imaging
-    stack is retained), which is the cost the paper's IFT methods avoid.
 
     Only plain SGD inner updates can be unrolled here (a stateful inner
-    optimizer would need its state built into the graph), so any other
+    optimizer would need its state in the reverse sweep), so any other
     ``inner_optimizer`` is rejected instead of being silently replaced
     by SGD.
     """
@@ -49,12 +71,13 @@ def unrolled_hypergradient(
             "unrolled_hypergradient supports inner_optimizer='sgd' only; "
             f"got {inner_optimizer!r}"
         )
-    tm = ad.Tensor(theta_m, requires_grad=True)
-    cur = ad.Tensor(theta_j, requires_grad=True)
-    for _ in range(steps):
-        loss_so = objective.loss(cur, tm)
-        (gj,) = ad.grad(loss_so, [cur], create_graph=True)
-        cur = F.sub(cur, F.mul(gj, inner_lr))
-    loss_mo = objective.loss(cur, tm)
-    (gm,) = ad.grad(loss_mo, [tm])
-    return gm.data, cur.data.copy(), float(loss_mo.data)
+    iterates, so_loss = inner_iterates(
+        objective, theta_j, theta_m, steps, make_optimizer("sgd", inner_lr)
+    )
+    ctx = HypergradientContext(
+        objective, iterates[-1], theta_m, so_loss_fn=so_loss
+    )
+    hyper, _ = reverse_sweep_hypergradient(
+        ctx, inner_lr, 0, 0.0, None, iterates[:-1]
+    )
+    return hyper, iterates[-1], ctx.loss_value

@@ -1,7 +1,10 @@
 """Tests for the fused ``incoherent_image`` primitive: finite-difference
 gradcheck against the composed-op reference (real + complex masks, B=1
-and B=3), streamed-VJP parity, argument validation, and the documented
-``create_graph`` fallback (HVPs matching the FFT-free basis oracle)."""
+and B=3), streamed-VJP parity, argument validation, and second order: the
+fused node is once-differentiable (a ``create_graph`` backward raises a
+named error), composed-op graphs give the double-backward HVPs, matching
+the FFT-free basis oracle, and the mixed products and unrolled steps of
+the fused path match double backward through the composed op."""
 
 from __future__ import annotations
 
@@ -13,7 +16,9 @@ from repro.autodiff import functional as F
 from repro.autodiff.grad import gradcheck
 from repro.optics import AbbeImaging, OpticalConfig
 from repro.smo import BatchedSMOObjective
+from repro.smo.bismo import HypergradientContext
 from repro.smo.parametrization import init_theta_mask, init_theta_source
+from repro.smo.unroll import unrolled_hypergradient
 
 S, N = 6, 12
 
@@ -210,7 +215,9 @@ class TestValidation:
 
 
 class TestCreateGraphFallback:
-    """The documented composed-op fallback for double backward."""
+    """Second order through imaging: the fused node refuses
+    ``create_graph``; composed-op engines are the double-backward
+    fallback."""
 
     @pytest.fixture(scope="class")
     def smo_setup(self):
@@ -226,53 +233,79 @@ class TestCreateGraphFallback:
         return cfg, theta_j, theta_m, objective
 
     def test_hvp_matches_basis_oracle(self, smo_setup):
-        """Source HVPs through the fused graph (create_graph fallback)
+        """Source HVPs by double backward through the composed graph
         must equal the FFT-free intensity-basis oracle — the exactness
         property BiSMO's inner-Hessian products rely on."""
-        _, theta_j, theta_m, objective = smo_setup
+        cfg, theta_j, theta_m, objective = smo_setup
+        composed = BatchedSMOObjective(
+            cfg, objective.targets.data, engine=AbbeImaging(cfg, fused=False)
+        )
         tm_fixed = ad.Tensor(theta_m)
         rng = np.random.default_rng(5)
         v = ad.Tensor(rng.standard_normal(theta_j.shape))
         x = ad.Tensor(theta_j)
-        h_fused = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
+        h_composed = ad.hvp(lambda tj: composed.loss(tj, tm_fixed), x, v)
         basis_loss = objective.source_only_loss(theta_m)
         h_basis = ad.hvp(basis_loss, x, v)
         scale = np.abs(h_basis.data).max()
         np.testing.assert_allclose(
-            h_fused.data, h_basis.data, rtol=1e-8, atol=1e-8 * max(scale, 1e-30)
+            h_composed.data,
+            h_basis.data,
+            rtol=1e-8,
+            atol=1e-8 * max(scale, 1e-30),
         )
 
     def test_mixed_jvp_matches_composed_engine(self, smo_setup):
-        """Mixed second derivatives agree between the fused graph (via
-        its fallback) and a fully composed graph."""
+        """Mixed second derivatives agree between the fused path (BiSMO's
+        split oracle: streamed mask VJPs through the fused primitive) and
+        double backward through a fully composed graph."""
         cfg, theta_j, theta_m, objective = smo_setup
         composed = BatchedSMOObjective(
             cfg, objective.targets.data, engine=AbbeImaging(cfg, fused=False)
         )
         rng = np.random.default_rng(6)
-        v = ad.Tensor(rng.standard_normal(theta_j.shape))
-        args = (ad.Tensor(theta_j), ad.Tensor(theta_m), v)
-        mj_fused = ad.mixed_jvp(objective.loss, *args)
-        mj_composed = ad.mixed_jvp(composed.loss, *args)
-        np.testing.assert_allclose(mj_fused.data, mj_composed.data, atol=1e-10)
-
-    def test_unrolled_backward_through_fused_graph(self, smo_setup, kernels, weights):
-        """An inner-SGD step built through the fused node (create_graph)
-        backpropagates correctly — checked against the composed op."""
-        m = _masks(False, False)
-
-        def unrolled(fn):
-            mt = ad.Tensor(m, requires_grad=True)
-            wt = ad.Tensor(weights, requires_grad=True)
-            inner = F.sum(F.power(fn(mt, kernels, wt), 2.0))
-            (gw,) = ad.grad(inner, [wt], create_graph=True)
-            stepped = F.sub(wt, F.mul(gw, 0.05))
-            outer = F.sum(F.power(fn(mt, kernels, stepped), 2.0))
-            (gm,) = ad.grad(outer, [mt])
-            return gm.data
-
-        np.testing.assert_allclose(
-            unrolled(F.incoherent_image),
-            unrolled(F.incoherent_image_composed),
-            atol=1e-10,
+        v = rng.standard_normal(theta_j.shape)
+        ctx = HypergradientContext(objective, theta_j, theta_m)
+        assert ctx.split
+        mj_fused = ctx.mixed_vjp(v)
+        mj_composed = ad.mixed_jvp(
+            composed.loss, ad.Tensor(theta_j), ad.Tensor(theta_m), ad.Tensor(v)
         )
+        np.testing.assert_allclose(mj_fused, mj_composed.data, atol=1e-10)
+
+    def test_unrolled_backward_through_fused_graph(self, smo_setup):
+        """An unrolled inner-SGD step on the fused objective (the reverse
+        sweep of its exact oracles) backpropagates correctly — checked
+        against the step taped with create_graph through the composed
+        op."""
+        cfg, theta_j, theta_m, objective = smo_setup
+        composed = BatchedSMOObjective(
+            cfg, objective.targets.data, engine=AbbeImaging(cfg, fused=False)
+        )
+        hyper, stepped, _ = unrolled_hypergradient(
+            objective, theta_j, theta_m, steps=1, inner_lr=0.05
+        )
+        tm = ad.Tensor(theta_m, requires_grad=True)
+        tj = ad.Tensor(theta_j, requires_grad=True)
+        (gj,) = ad.grad(composed.loss(tj, tm), [tj], create_graph=True)
+        tj_next = F.sub(tj, F.mul(gj, 0.05))
+        (gm,) = ad.grad(composed.loss(tj_next, tm), [tm])
+        np.testing.assert_allclose(stepped, tj_next.data, atol=1e-10)
+        np.testing.assert_allclose(hyper, gm.data, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "primitive", ["incoherent_image", "incoherent_image_stack"]
+    )
+    def test_create_graph_backward_raises(self, primitive, kernels, weights):
+        """A create_graph backward through either fused primitive raises
+        the named error (pointing at the composed engine) instead of
+        returning a gradient that cannot be differentiated again;
+        first-order backward through the same graph still works."""
+        mt = ad.Tensor(_masks(True, False), requires_grad=True)
+        wt = ad.Tensor(weights, requires_grad=True)
+        stacks = kernels if primitive == "incoherent_image" else [kernels, kernels]
+        loss = F.sum(F.power(getattr(F, primitive)(mt, stacks, wt), 2.0))
+        with pytest.raises(ad.FusedDoubleBackwardError, match="fused=False"):
+            ad.grad(loss, [mt, wt], create_graph=True)
+        gm, gw = ad.grad(loss, [mt, wt])
+        assert gm.shape == mt.shape and gw.shape == wt.shape

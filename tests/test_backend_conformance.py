@@ -136,17 +136,17 @@ class TestPerBackend:
         )
 
     def test_hvp_matches_fd_oracle(self, bk_name, complex_kernels, paired):
-        """Exact double-backward HVP == finite-difference HVP."""
+        """Exact double-backward HVP (composed ops: the fused node is
+        once-differentiable) == finite differences of the fused
+        gradient."""
         _, _, weights = paired
 
-        def loss_fn(mt):
-            return F.sum(
-                F.power(F.incoherent_image(mt, complex_kernels, weights), 2.0)
-            )
+        def loss_fn(mt, image=F.incoherent_image_composed):
+            return F.sum(F.power(image(mt, complex_kernels, weights), 2.0))
 
         def grad_fn(mt):
             mt = ad.Tensor(mt.data, requires_grad=True)
-            (g,) = ad.grad(loss_fn(mt), [mt])
+            (g,) = ad.grad(loss_fn(mt, F.incoherent_image), [mt])
             return g
 
         rng = np.random.default_rng(5)
@@ -160,13 +160,12 @@ class TestPerBackend:
         )
 
     def test_mixed_jvp_matches_fd_oracle(self, bk_name, complex_kernels, paired):
-        """Exact mixed second derivative == finite-difference oracle."""
+        """Exact mixed second derivative (composed ops) == finite
+        differences of the fused gradient."""
         _, _, weights = paired
 
-        def loss_fn(mt, wt):
-            return F.sum(
-                F.power(F.incoherent_image(mt, complex_kernels, wt), 2.0)
-            )
+        def loss_fn(mt, wt, image=F.incoherent_image_composed):
+            return F.sum(F.power(image(mt, complex_kernels, wt), 2.0))
 
         rng = np.random.default_rng(6)
         x = ad.Tensor(_mask(False))
@@ -177,7 +176,7 @@ class TestPerBackend:
         def grad_y_fn(xt):
             xt = ad.Tensor(xt.data, requires_grad=True)
             yt = ad.Tensor(weights, requires_grad=True)
-            (gy,) = ad.grad(loss_fn(xt, yt), [yt])
+            (gy,) = ad.grad(loss_fn(xt, yt, F.incoherent_image), [yt])
             return gy
 
         mj_fd = ad.mixed_jvp_fd(grad_y_fn, x, v)

@@ -24,6 +24,7 @@ import pytest
 import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.optics import AbbeImaging, OpticalConfig, backend, fftlib
+from repro.smo.bismo import HypergradientContext
 from repro.smo.objective import BatchedSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
 
@@ -192,17 +193,29 @@ class TestBismoIterationUnderStrict:
         assert counts["from_host"] > 0
         assert counts["to_host"] > 0
 
-    def test_second_order_fallback_under_strict(self, smo_setup):
-        """The create_graph composed-op fallback (BiSMO's exact HVP
-        oracle) also stays inside the seam."""
+    def test_split_oracles_under_strict(self, smo_setup):
+        """BiSMO's exact second-order oracles (the split-at-the-aerial
+        context: fused forward, streamed backward, FFT-free HVP and the
+        streamed mask VJPs of the mixed product) stay inside the seam
+        and are bitwise identical to the numpy backend."""
         _, _, _, theta_j, theta_m, objective = smo_setup
-        tm_fixed = ad.Tensor(theta_m)
         rng = np.random.default_rng(5)
-        v = ad.Tensor(rng.standard_normal(theta_j.shape))
-        x = ad.Tensor(theta_j)
-        h_ref = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
+        p = rng.standard_normal(theta_j.shape)
+
+        def oracles():
+            ctx = HypergradientContext(objective, theta_j, theta_m)
+            assert ctx.split
+            return ctx, ctx.hvp(p)
+
+        ctx_ref, h_ref = oracles()
+        m_ref = ctx_ref.mixed_vjp(p)
         with backend.use_backend("strict") as bk:
             bk.reset()
-            h_strict = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
-            assert bk.counters["fft2_calls"] > 0
-        np.testing.assert_array_equal(h_strict.data, h_ref.data)
+            ctx, h_strict = oracles()
+            bk.reset()
+            m_strict = ctx.mixed_vjp(p)
+            mixed_ffts = bk.counters["fft2_calls"]
+        np.testing.assert_array_equal(ctx.grad_m, ctx_ref.grad_m)
+        np.testing.assert_array_equal(h_strict, h_ref)
+        np.testing.assert_array_equal(m_strict, m_ref)
+        assert mixed_ffts > 0

@@ -4,9 +4,13 @@ Objectives that split at the aerial image (``loss_from_aerial`` over
 ``conditions``) give :class:`HypergradientContext` its split path:
 FFT-free Hessian products through the intensity basis and streamed mask
 VJPs for the mixed term.  Every oracle is held to the double-backward
-reference (the generic path, taken by objectives without the split),
-to Hessian symmetry, to a finite difference of the gradient, and the
-new mask-VJP helper to a dot-product test against its own forward.
+reference (the generic path, taken by objectives without the split; the
+fused imaging node is once-differentiable, so the reference objectives
+image through composed ops, ``AbbeImaging(cfg, fused=False)``), to
+Hessian symmetry, to a finite difference of the gradient, and the
+mask-VJP helper to a dot-product test against its own forward.
+BiSMO-UNROLL's reverse sweep of those oracles is held to a taped
+create-graph unroll on the composed objective.
 """
 
 import json
@@ -35,7 +39,9 @@ from repro.smo import (
     init_theta_mask,
     init_theta_source,
 )
-from repro.smo.bismo import HypergradientContext
+from repro.opt import make_optimizer
+from repro.smo.bismo import HypergradientContext, inner_iterates
+from repro.smo.unroll import reverse_sweep_hypergradient, unrolled_hypergradient
 
 RTOL = 1e-9
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,10 +49,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 class LossOnly:
     """The objective's loss without the aerial split: forces the
-    generic double-backward path (the reference oracles)."""
+    generic double-backward path (the reference oracles).  Wrap an
+    objective on a composed engine (:func:`composed`)."""
 
     def __init__(self, objective):
         self.loss = objective.loss
+
+
+def composed(cfg):
+    """A twice-differentiable (composed-op) Abbe engine."""
+    return AbbeImaging(cfg, fused=False)
 
 
 @pytest.fixture(scope="module")
@@ -114,28 +126,40 @@ class TestSplitMatchesDoubleBackward:
             BatchedSMOObjective(cfg, targets), theta_j, theta_m
         )
         ref = HypergradientContext(
-            LoopedSMOObjective(cfg, targets), theta_j, theta_m
+            LoopedSMOObjective(cfg, targets, engine=composed(cfg)),
+            theta_j,
+            theta_m,
         )
         _assert_oracles_match(fast, ref, theta_j, seed=1)
 
     def test_single_tile(self, cfg, point):
         targets, theta_j, theta_m = point
-        objective = AbbeSMOObjective(cfg, targets[0])
-        fast = HypergradientContext(objective, theta_j, theta_m[0])
-        ref = HypergradientContext(LossOnly(objective), theta_j, theta_m[0])
+        fast = HypergradientContext(
+            AbbeSMOObjective(cfg, targets[0]), theta_j, theta_m[0]
+        )
+        ref = HypergradientContext(
+            LossOnly(AbbeSMOObjective(cfg, targets[0], engine=composed(cfg))),
+            theta_j,
+            theta_m[0],
+        )
         _assert_oracles_match(fast, ref, theta_j, seed=2)
 
     @pytest.mark.parametrize("robust", ["sum", "max", "adaptive"])
     def test_process_window(self, cfg, point, aberrated_window, robust):
         targets, theta_j, theta_m = point
-        objective = ProcessWindowSMOObjective(
-            cfg, targets, aberrated_window, robust=robust, tau=0.5
+        objective, reference = (
+            ProcessWindowSMOObjective(
+                cfg, targets, aberrated_window, robust=robust, tau=0.5,
+                engine=engine,
+            )
+            for engine in (None, composed(cfg))
         )
         if objective.adaptive_weights is not None:
             # Off the uniform seed, so the live weights matter.
-            objective.adaptive_weights.update(np.array([1.0, 3.0, 2.0]))
+            for obj in (objective, reference):
+                obj.adaptive_weights.update(np.array([1.0, 3.0, 2.0]))
         fast = HypergradientContext(objective, theta_j, theta_m)
-        ref = HypergradientContext(LossOnly(objective), theta_j, theta_m)
+        ref = HypergradientContext(LossOnly(reference), theta_j, theta_m)
         _assert_oracles_match(fast, ref, theta_j, seed=3)
         # The split path stashes the corner diagnostics like loss() does.
         assert objective.last_corner_losses.shape == (3, len(targets))
@@ -181,6 +205,69 @@ class TestSplitMatchesDoubleBackward:
             BatchedSMOObjective(cfg, targets), theta_j, theta_m, hvp_mode="fd"
         )
         assert not ctx.split
+
+
+def _taped_unroll(objective, theta_j, theta_m, steps, inner_lr, direct=True):
+    """Reverse mode through ``steps`` SGD updates recorded on the tape
+    (create_graph), the textbook unroll the reverse sweep replaces.
+    ``direct=False`` evaluates the final loss at a constant theta_M, so
+    the gradient is the best-response (indirect) term alone."""
+    tm = ad.Tensor(theta_m, requires_grad=True)
+    cur = ad.Tensor(theta_j, requires_grad=True)
+    for _ in range(steps):
+        (gj,) = ad.grad(objective.loss(cur, tm), [cur], create_graph=True)
+        cur = F.sub(cur, F.mul(gj, inner_lr))
+    loss = objective.loss(cur, tm if direct else ad.Tensor(theta_m))
+    (gm,) = ad.grad(loss, [tm])
+    return gm.data, cur.data, float(loss.data)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("windowed", [False, True])
+def test_unroll_sweep_matches_taped_unroll(
+    cfg, point, aberrated_window, windowed, steps
+):
+    """The reverse sweep of exact oracles on the fused objective equals
+    the taped create-graph unroll on the composed objective: the whole
+    hypergradient, and the best-response term on its own (it is ~1e-8
+    of the direct term on the window, below the whole-vector rtol)."""
+    targets, theta_j, theta_m = point
+
+    def build(engine):
+        if windowed:
+            return ProcessWindowSMOObjective(
+                cfg, targets, aberrated_window, robust="max", tau=0.5,
+                engine=engine,
+            )
+        return BatchedSMOObjective(cfg, targets, engine=engine)
+
+    fused, reference = build(None), build(composed(cfg))
+    hyper, tj, loss = unrolled_hypergradient(
+        fused, theta_j, theta_m, steps=steps, inner_lr=0.1
+    )
+    want_hyper, want_tj, want_loss = _taped_unroll(
+        reference, theta_j, theta_m, steps, 0.1
+    )
+    iterates, so_loss = inner_iterates(
+        fused, theta_j, theta_m, steps, make_optimizer("sgd", 0.1)
+    )
+    ctx = HypergradientContext(fused, iterates[-1], theta_m, so_loss_fn=so_loss)
+    ctx.grad_m = np.zeros_like(ctx.grad_m)  # sweep the indirect term alone
+    indirect, _ = reverse_sweep_hypergradient(
+        ctx, 0.1, 0, 0.0, None, iterates[:-1]
+    )
+    want_indirect, _, _ = _taped_unroll(
+        reference, theta_j, theta_m, steps, 0.1, direct=False
+    )
+    assert loss == pytest.approx(want_loss, rel=RTOL)
+    for got, want in (
+        (hyper, want_hyper),
+        (tj, want_tj),
+        (indirect, want_indirect),
+    ):
+        np.testing.assert_allclose(
+            got, want, rtol=RTOL, atol=RTOL * np.abs(want).max()
+        )
 
 
 @pytest.fixture(scope="module")
@@ -328,9 +415,14 @@ def test_oracles_agree_on_indefinite_hessian():
         cfg, targets, method="cg", unroll_steps=3, terms=5, inner_lr=0.1,
         outer_lr=0.1, outer_optimizer="adam", damping=1.0, seed=17,
     ).run(source, iterations=9)
-    objective = BatchedSMOObjective(cfg, targets)
-    fast = HypergradientContext(objective, run.theta_j, run.theta_m)
-    ref = HypergradientContext(LossOnly(objective), run.theta_j, run.theta_m)
+    fast = HypergradientContext(
+        BatchedSMOObjective(cfg, targets), run.theta_j, run.theta_m
+    )
+    ref = HypergradientContext(
+        LossOnly(BatchedSMOObjective(cfg, targets, engine=composed(cfg))),
+        run.theta_j,
+        run.theta_m,
+    )
     n = run.theta_j.size
     hess = np.stack(
         [fast.hvp(e.reshape(run.theta_j.shape)).ravel() for e in np.eye(n)],
@@ -348,8 +440,9 @@ def test_oracles_agree_on_indefinite_hessian():
 
 
 def test_bilevel_spans_nest_under_solver_iter():
-    """A traced tiny BiSMO-NMN iteration (REPRO_TRACE=1) attributes its
-    hypergradient, HVPs and mixed product to named spans."""
+    """Traced tiny BiSMO-NMN and BiSMO-UNROLL iterations (REPRO_TRACE=1)
+    attribute their hypergradient, HVPs and mixed products to named
+    spans."""
     script = (
         "import json, numpy as np\n"
         "from repro import obs\n"
@@ -359,8 +452,11 @@ def test_bilevel_spans_nest_under_solver_iter():
         "rng = np.random.default_rng(0)\n"
         "t = (rng.random((2, cfg.mask_size, cfg.mask_size)) > 0.6) * 1.0\n"
         "src = annular(SourceGrid.from_config(cfg), cfg.sigma_out, cfg.sigma_in)\n"
-        "BiSMO(cfg, t, method='nmn', unroll_steps=1, terms=2).run(src, iterations=1)\n"
-        "print(json.dumps([[e['name'], e['parent']] for e in obs.drain_events()]))\n"
+        "out = {}\n"
+        "for method in ('nmn', 'unroll'):\n"
+        "    BiSMO(cfg, t, method=method, unroll_steps=2, terms=2).run(src, iterations=1)\n"
+        "    out[method] = [[e['name'], e['parent']] for e in obs.drain_events()]\n"
+        "print(json.dumps(out))\n"
     )
     env = dict(os.environ, REPRO_TRACE="1", PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -371,10 +467,12 @@ def test_bilevel_spans_nest_under_solver_iter():
         check=True,
         timeout=120,
     )
-    events = json.loads(out.stdout.strip().splitlines()[-1])
-    parents = {}
-    for name, parent in events:
-        parents.setdefault(name, set()).add(parent)
-    assert parents["solver.hypergrad"] == {"solver.iter"}
-    assert parents["solver.hvp"] == {"solver.hypergrad"}
-    assert parents["solver.mixed"] == {"solver.hypergrad"}
+    traced = json.loads(out.stdout.strip().splitlines()[-1])
+    assert set(traced) == {"nmn", "unroll"}
+    for events in traced.values():
+        parents = {}
+        for name, parent in events:
+            parents.setdefault(name, set()).add(parent)
+        assert parents["solver.hypergrad"] == {"solver.iter"}
+        assert parents["solver.hvp"] == {"solver.hypergrad"}
+        assert parents["solver.mixed"] == {"solver.hypergrad"}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.autodiff as ad
-from repro.optics import OpticalConfig
+from repro.optics import AbbeImaging, OpticalConfig
 from repro.smo import (
     AMSMO,
     AbbeMO,
@@ -45,10 +45,17 @@ class TestBatchedLoopedEquivalence:
 
     @pytest.mark.parametrize("method", ["nmn", "fd", "cg"])
     def test_bismo_matches_per_clip_loop(self, method, cfg, targets, tiny_source):
+        """The looped reference takes exact second-order products by
+        double backward, so it images through composed ops."""
         results = {}
-        for name, obj_cls in (
-            ("batched", BatchedSMOObjective),
-            ("looped", LoopedSMOObjective),
+        for name, objective in (
+            ("batched", BatchedSMOObjective(cfg, targets)),
+            (
+                "looped",
+                LoopedSMOObjective(
+                    cfg, targets, engine=AbbeImaging(cfg, fused=False)
+                ),
+            ),
         ):
             solver = BiSMO(
                 cfg,
@@ -57,7 +64,7 @@ class TestBatchedLoopedEquivalence:
                 unroll_steps=2,
                 terms=3,
                 damping=1.0 if method == "cg" else 0.0,
-                objective=obj_cls(cfg, targets),
+                objective=objective,
             )
             results[name] = solver.run(tiny_source, iterations=4)
         b, l = results["batched"], results["looped"]
@@ -189,7 +196,11 @@ class TestSourceOnlyOracle:
         )
         tm = np.stack([init_theta_mask(t, cfg) for t in targets])
         ctx_fast = HypergradientContext(BatchedSMOObjective(cfg, targets), tj, tm)
-        ctx_full = HypergradientContext(LoopedSMOObjective(cfg, targets), tj, tm)
+        ctx_full = HypergradientContext(
+            LoopedSMOObjective(cfg, targets, engine=AbbeImaging(cfg, fused=False)),
+            tj,
+            tm,
+        )
         assert ctx_fast.split
         assert not ctx_full.split
         p = rng.standard_normal(tj.shape)

@@ -138,6 +138,18 @@ class TestBiSMO:
         with pytest.raises(KeyError):
             BiSMO(tiny_config, tiny_target, method="newton")
 
+    def test_unknown_hvp_mode_rejected_at_construction(
+        self, tiny_config, tiny_target
+    ):
+        with pytest.raises(ValueError, match="hvp_mode 'exat'"):
+            BiSMO(tiny_config, tiny_target, method="nmn", hvp_mode="exat")
+
+    def test_unroll_without_inner_steps_rejected_at_construction(
+        self, tiny_config, tiny_target
+    ):
+        with pytest.raises(ValueError, match="unroll_steps=0"):
+            BiSMO(tiny_config, tiny_target, method="unroll", unroll_steps=0)
+
     def test_source_actually_moves(self, tiny_config, tiny_target, tiny_source, objective):
         solver = BiSMO(tiny_config, tiny_target, method="fd", objective=objective)
         res = solver.run(tiny_source, iterations=5)
