@@ -87,9 +87,9 @@ def _clips(cfg: OpticalConfig, num_tiles: int) -> np.ndarray:
     return tile_stack(ds, cfg)
 
 
-def _windows(cfg: OpticalConfig) -> Dict[str, Optional[ProcessWindow]]:
+def _windows(cfg: OpticalConfig) -> Dict[str, ProcessWindow]:
+    # No nominal cell: an Abbe solver without a window optimizes dose3.
     return {
-        "nominal": None,
         "dose3": ProcessWindow.from_config(cfg),
         "dose3xfocus3": ProcessWindow.from_grid(DOSES, FOCUS),
     }
@@ -130,7 +130,7 @@ def _make_solver(
     cfg: OpticalConfig,
     targets: np.ndarray,
     source: np.ndarray,
-    window: Optional[ProcessWindow],
+    window: ProcessWindow,
 ) -> Tuple[Callable[..., SMOResult], Dict]:
     """Return ``(run, kwargs)`` so every solver shares one call shape."""
     iters = MAX_ITERS[name]
@@ -167,8 +167,8 @@ def run_grid(
                         "solver": sname,
                         "scale": scale,
                         "window": wname,
-                        "corners": window.num_corners if window else 1,
-                        "conditions": len(window.conditions()) if window else 1,
+                        "corners": window.num_corners,
+                        "conditions": len(window.conditions()),
                         "tiles": int(num_tiles),
                         "iterations": stopper.iterations,
                         "stop_reason": stopper.reason,

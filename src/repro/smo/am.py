@@ -26,8 +26,6 @@ from ..opt import make_optimizer
 from ..utils.timing import tick
 from ..optics import OpticalConfig, ProcessWindow
 from .objective import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     HopkinsMOObjective,
     ProcessWindowSMOObjective,
     adaptive_corner_update,
@@ -58,12 +56,13 @@ class AMSMO:
         SOCS truncation for the Hopkins MO phase.
     objective:
         Optional pre-built SMO objective (single-tile or batched);
-        overrides the default built from ``target``.
+        overrides the default :class:`ProcessWindowSMOObjective` built
+        from ``target`` and the window arguments.
     process_window:
-        Optional :class:`repro.optics.ProcessWindow`: both phases then
-        alternate on the robust dose x aberration loss
-        (:class:`ProcessWindowSMOObjective` for the Abbe phases, the
-        windowed :class:`HopkinsMOObjective` for the Hopkins MO phase);
+        The :class:`repro.optics.ProcessWindow` both phases alternate
+        on (:class:`ProcessWindowSMOObjective` for the Abbe phases,
+        :class:`HopkinsMOObjective` for the Hopkins MO phase); ``None``
+        is Eq. (8)'s three dose corners, the paper's loss;
         ``robust`` / ``robust_tau`` select the corner reduction.  Under
         ``robust="adaptive"`` one :class:`AdaptiveCornerWeights` ascent
         is shared across both phases (and across Hopkins TCC rebuilds),
@@ -83,7 +82,7 @@ class AMSMO:
         so_optimizer: str = "sgd",
         mo_optimizer: str = "adam",
         num_kernels: Optional[int] = None,
-        objective: Optional[AbbeSMOObjective] = None,
+        objective: Optional[ProcessWindowSMOObjective] = None,
         process_window: Optional[ProcessWindow] = None,
         robust: str = "sum",
         robust_tau: float = 1.0,
@@ -104,16 +103,9 @@ class AMSMO:
         self.process_window = process_window
         self.robust = robust
         self.robust_tau = robust_tau
-        if objective is not None:
-            self.objective = objective
-        elif process_window is not None:
-            self.objective = ProcessWindowSMOObjective(
-                config, self.target, process_window, robust=robust, tau=robust_tau
-            )
-        elif self.target.ndim == 3:
-            self.objective = BatchedSMOObjective(config, self.target)
-        else:
-            self.objective = AbbeSMOObjective(config, self.target)
+        self.objective = objective or ProcessWindowSMOObjective(
+            config, self.target, process_window, robust=robust, tau=robust_tau
+        )
         self.method_name = (
             "AM-SMO(Abbe-Abbe)" if mode == "abbe-abbe" else "AM-SMO(Abbe-Hopkins)"
         )

@@ -24,8 +24,11 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
 serves both levels.
 
-Joint multi-clip SMO: passing a ``(B, N, N)`` target stack (or a
-:class:`repro.smo.objective.BatchedSMOObjective`) optimizes one shared
+Both levels optimize one objective,
+:class:`repro.smo.objective.ProcessWindowSMOObjective`: Eq. (8)'s dose
+corners by default, or an explicit process window.
+
+Joint multi-clip SMO: passing a ``(B, N, N)`` target stack optimizes one shared
 ``theta_J`` against a ``(B, N, N)`` ``theta_M`` stack; hypergradients
 and HVPs flow through the fused batched forward and every
 :class:`IterationRecord` carries the per-tile loss vector.  Every
@@ -48,12 +51,7 @@ from ..opt import Optimizer, make_optimizer
 from ..optics import OpticalConfig, ProcessWindow
 from ..optics.abbe import AbbeImaging
 from ..utils.timing import tick
-from .objective import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
-    ProcessWindowSMOObjective,
-    adaptive_corner_update,
-)
+from .objective import ProcessWindowSMOObjective, adaptive_corner_update
 from .parametrization import (
     init_theta_mask,
     init_theta_source,
@@ -116,14 +114,14 @@ class HypergradientContext:
     evaluations instead (cheaper in memory — the DARTS trick).
 
     ``objective`` is any SMO objective exposing ``loss(theta_j,
-    theta_m)`` — single-tile :class:`AbbeSMOObjective`, a batched
-    multi-clip objective (``theta_m`` is then a ``(B, N, N)`` stack) or
-    a process-window objective.
+    theta_m)`` — normally a :class:`ProcessWindowSMOObjective` on an
+    ``(N, N)`` tile or a ``(B, N, N)`` stack (``theta_m`` then a
+    matching stack).
     """
 
     def __init__(
         self,
-        objective: AbbeSMOObjective,
+        objective: ProcessWindowSMOObjective,
         theta_j: np.ndarray,
         theta_m: np.ndarray,
         hvp_mode: str = "exact",
@@ -314,7 +312,7 @@ def _splits_at_aerial(objective) -> bool:
 
 
 def inner_iterates(
-    objective: AbbeSMOObjective,
+    objective: ProcessWindowSMOObjective,
     theta_j: np.ndarray,
     theta_m: np.ndarray,
     steps: int,
@@ -368,8 +366,7 @@ class BiSMO:
     ----------
     target:
         Binary target image ``(N, N)``, or a ``(B, N, N)`` stack for
-        joint multi-clip SMO (one shared source, a ``theta_M`` stack;
-        the default objective becomes :class:`BatchedSMOObjective`).
+        joint multi-clip SMO (one shared source, a ``theta_M`` stack).
     method:
         ``"fd"`` (Eq. (13)), ``"nmn"`` (truncated Neumann, Eq. (16)),
         ``"cg"`` (Eq. (18)) or ``"unroll"`` (reverse-mode reference).
@@ -388,12 +385,15 @@ class BiSMO:
         :class:`HypergradientContext`) or ``"fd"`` (finite differences).
     damping:
         Tikhonov damping added to the inner Hessian in the CG solve.
+    objective:
+        Optional pre-built objective; overrides the default
+        :class:`ProcessWindowSMOObjective` built from the arguments below.
     process_window:
-        Optional :class:`repro.optics.ProcessWindow`: both bilevel
-        levels then optimize the robust loss across the dose x
-        aberration corner grid (:class:`ProcessWindowSMOObjective`; one
-        fused condition stack per evaluation, hypergradients and HVPs
-        flow through the condition axis).  ``robust`` / ``robust_tau``
+        The :class:`repro.optics.ProcessWindow` both bilevel levels
+        optimize the robust loss across (one fused condition stack per
+        evaluation; hypergradients and HVPs flow through the condition
+        axis).  ``None`` is Eq. (8)'s three dose corners, whose
+        weighted sum is the paper's loss.  ``robust`` / ``robust_tau``
         select the corner reduction — weighted sum, smooth worst case,
         or ``"adaptive"``: an outer exponentiated-gradient ascent on the
         corner weights (one step per outer iteration, trajectory in the
@@ -413,7 +413,7 @@ class BiSMO:
         outer_optimizer: str = "adam",
         hvp_mode: str = "exact",
         damping: float = 0.0,
-        objective: Optional[AbbeSMOObjective] = None,
+        objective: Optional[ProcessWindowSMOObjective] = None,
         process_window: Optional[ProcessWindow] = None,
         robust: str = "sum",
         robust_tau: float = 1.0,
@@ -421,16 +421,9 @@ class BiSMO:
     ):
         self.config = config
         self.target = np.asarray(target, dtype=np.float64)
-        if objective is not None:
-            self.objective = objective
-        elif process_window is not None:
-            self.objective = ProcessWindowSMOObjective(
-                config, self.target, process_window, robust=robust, tau=robust_tau
-            )
-        elif self.target.ndim == 3:
-            self.objective = BatchedSMOObjective(config, self.target)
-        else:
-            self.objective = AbbeSMOObjective(config, self.target)
+        self.objective = objective or ProcessWindowSMOObjective(
+            config, self.target, process_window, robust=robust, tau=robust_tau
+        )
         self.method = method.lower()
         self.seed = int(seed)
         self._hyper_fn = _resolve_method(method)

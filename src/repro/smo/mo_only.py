@@ -7,9 +7,11 @@ Two engines, one loop:
 * :class:`HopkinsMO` — conventional SOCS-truncated ILT (the substrate of
   the NILT / DAC23-MILT comparators).
 
-Both minimize the same process-window-aware loss (Eq. (9)) with the
-source held fixed, so their gap isolates the Hopkins truncation error
-discussed in Section 4.1.  Both ride their engine's fused imaging
+Both minimize the same process-window loss with the source held fixed
+— Eq. (9)'s three dose corners unless a window is given (their Abbe
+and Hopkins objectives, :class:`ProcessWindowSMOObjective` and
+:class:`HopkinsMOObjective`, share that default) — so their gap
+isolates the Hopkins truncation error discussed in Section 4.1.  Both ride their engine's fused imaging
 forward (streamed, hand-written VJP), single-tile
 or batched.
 """
@@ -27,8 +29,6 @@ from ..opt import make_optimizer
 from ..utils.timing import tick
 from ..optics import OpticalConfig, ProcessWindow
 from .objective import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     HopkinsMOObjective,
     ProcessWindowSMOObjective,
     adaptive_corner_update,
@@ -50,9 +50,10 @@ class AbbeMO:
     a stack optimizes a ``theta_M`` batch jointly through the fused
     multi-tile forward, and records carry per-tile losses.
 
-    ``process_window`` switches the loss to the robust dose x aberration
-    reduction across a :class:`repro.optics.ProcessWindow`
-    (:class:`ProcessWindowSMOObjective`); ``robust`` / ``robust_tau``
+    The loss is the robust dose x aberration reduction of
+    :class:`ProcessWindowSMOObjective` across ``process_window`` (Eq.
+    (8)'s dose corners when ``None``), unless a pre-built ``objective``
+    is passed; ``robust`` / ``robust_tau``
     pick weighted-sum, smooth worst-case, or the adaptive minimax
     ascent — ``robust="adaptive"`` EG-steps the corner weights once per
     iteration and stashes the trajectory in the records.
@@ -67,23 +68,16 @@ class AbbeMO:
         source: np.ndarray,
         lr: float = 0.1,
         optimizer: str = "adam",
-        objective: Optional[AbbeSMOObjective] = None,
+        objective: Optional[ProcessWindowSMOObjective] = None,
         process_window: Optional[ProcessWindow] = None,
         robust: str = "sum",
         robust_tau: float = 1.0,
     ):
         self.config = config
         target = np.asarray(target, dtype=np.float64)
-        if objective is not None:
-            self.objective = objective
-        elif process_window is not None:
-            self.objective = ProcessWindowSMOObjective(
-                config, target, process_window, robust=robust, tau=robust_tau
-            )
-        elif target.ndim == 3:
-            self.objective = BatchedSMOObjective(config, target)
-        else:
-            self.objective = AbbeSMOObjective(config, target)
+        self.objective = objective or ProcessWindowSMOObjective(
+            config, target, process_window, robust=robust, tau=robust_tau
+        )
         self._theta_j_fixed = ad.Tensor(init_theta_source(source, config))
         self._opt = make_optimizer(optimizer, lr)
         self.target = target

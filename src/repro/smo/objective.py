@@ -6,24 +6,34 @@
 * ``L_pvb`` = || Z_max - Z_t ||^2 + || Z_min - Z_t ||^2 at the +/-2 %
   dose corners (Eq. (8)).
 
+That is a weighted sum over three dose corners — nominal at weight
+``gamma``, +/-2 % at weight ``eta`` — so it *is* a three-corner process
+window (:meth:`repro.optics.ProcessWindow.from_config`).  There is one
+objective per imaging model: :class:`ProcessWindowSMOObjective` (Abbe,
+differentiable in source and mask) and :class:`HopkinsMOObjective`
+(Hopkins/SOCS, mask only).  Without an explicit window both optimize
+Eq. (8)'s corners at their engine's own aberration;
+:class:`AbbeSMOObjective` / :class:`BatchedSMOObjective` are that
+default on an ``(N, N)`` tile / a ``(B, N, N)`` stack.
+:func:`smo_loss_from_aerial` spells Eqs. (7)-(8) out literally, as the
+independent reference the objectives are tested against.
+
 Dose handling: the paper substitutes ``M_min = d_min * sigma(alpha_m
 theta_M)`` into the forward model.  Because Abbe/Hopkins intensity is a
 quadratic form in the mask transmission, scaling the mask by ``d``
 scales the whole aerial image by ``d^2`` *exactly*; we therefore image
-once and evaluate the three dose corners as ``sigmoid(beta * (d^2 * I -
-I_tr))``, which is algebraically identical to three forward passes but
-3x cheaper.
+once per pupil condition and evaluate the dose corners as
+``sigmoid(beta * (d^2 * I - I_tr))``, which is algebraically identical
+to one forward pass per corner.
 
 All objectives consume any :class:`repro.optics.ImagingEngine`; default
 engines come from the shared optics cache, and every inference-only
 entry point (``images()``) rides the engines' graph-free fast path.
-:class:`BatchedSMOObjective` evaluates a whole ``(B, N, N)`` layout
-batch as one loss through the engines' fused multi-tile forward.  Every
-objective — nominal or process-window — images through the same fused
-:func:`repro.autodiff.functional.incoherent_image_stack` node (nominal
-imaging is its one-condition case; streamed forward, hand-written
+Every objective images through the fused
+:func:`repro.autodiff.functional.incoherent_image_stack` node over the
+window's distinct pupil conditions (streamed forward, hand-written
 VJP), so neither the loss nor its backward retains a ``(B, S, N, N)``
-field stack.  The source-differentiable objectives split at that stack:
+field stack.  The Abbe objective splits at that stack:
 ``loss(theta_j, theta_m) == loss_from_aerial(engine.aerial_conditions(
 mask, source, conditions))``, with ``loss_from_aerial`` an FFT-free
 function of the aerial stack — the seam BiSMO's matrix-free
@@ -33,6 +43,7 @@ are built on.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,8 +57,6 @@ from ..optics import (
     SourceGrid,
     engine_for,
 )
-from ..optics.abbe import AbbeImaging
-from ..optics.engine import drop_condition_axis
 from .parametrization import mask_from_theta, source_from_theta
 
 __all__ = [
@@ -94,8 +103,10 @@ def smo_loss_from_aerial(
 ) -> ad.Tensor:
     """gamma * L2 + eta * L_pvb evaluated from one aerial image.
 
-    Shapes broadcast: a ``(B, N, N)`` aerial/target pair yields the summed
-    loss over the whole batch (one scalar, one graph).
+    Eqs. (7)-(8) written out term by term, independent of the window
+    machinery: the reference the default-window objectives are tested
+    against.  Shapes broadcast: a ``(B, N, N)`` aerial/target pair
+    yields the summed loss over the whole batch (one scalar, one graph).
     """
     z_nom = dose_resist(aerial, config, 1.0)
     z_min = dose_resist(aerial, config, config.dose_min)
@@ -106,20 +117,6 @@ def smo_loss_from_aerial(
         F.sum(F.power(F.sub(z_min, target), 2.0)),
     )
     return F.add(F.mul(l2, config.gamma), F.mul(pvb, config.eta))
-
-
-def _check_theta_shape(theta_m, target: ad.Tensor) -> None:
-    """Raise ``ValueError`` unless ``theta_m`` has the target's shape.
-
-    The post-aerial losses broadcast an aerial against the targets, so a
-    single ``(N, N)`` mask against ``(B, N, N)`` targets would silently
-    optimize one mask for the sum of all targets.
-    """
-    if tuple(theta_m.shape) != tuple(target.shape):
-        raise ValueError(
-            f"theta_m must be shaped like the target {tuple(target.shape)}; "
-            f"got {tuple(theta_m.shape)}"
-        )
 
 
 def _resist_images_fast(
@@ -134,33 +131,6 @@ def _resist_images_fast(
             "resist_min": dose_resist(aerial, config, config.dose_min).data,
             "resist_max": dose_resist(aerial, config, config.dose_max).data,
         }
-
-
-def _tile_loss_vector(
-    images: Dict[str, np.ndarray], targets: np.ndarray, config: OpticalConfig
-) -> np.ndarray:
-    """Per-tile ``gamma * L2 + eta * L_pvb`` from batched resist images."""
-    axes = (1, 2)
-    l2 = ((images["resist"] - targets) ** 2).sum(axis=axes)
-    pvb = ((images["resist_max"] - targets) ** 2).sum(axis=axes) + (
-        (images["resist_min"] - targets) ** 2
-    ).sum(axis=axes)
-    return config.gamma * l2 + config.eta * pvb
-
-
-def _tile_losses_from_aerial(
-    aerial: np.ndarray, targets: np.ndarray, config: OpticalConfig
-) -> np.ndarray:
-    """Per-tile losses straight from a ``(B, N, N)`` aerial (no graph).
-
-    This is how batched objectives deliver per-tile diagnostics *for
-    free*: the aerial was already computed for the scalar loss, so the
-    per-tile split costs three resist sigmoids and a few sums — no extra
-    imaging forward.
-    """
-    with ad.no_grad():
-        images = _resist_images_fast(aerial, config)
-    return _tile_loss_vector(images, targets, config)
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +257,25 @@ def robust_tile_losses(
     return tau * np.log(
         (w[:, None] * np.exp((matrix - shift) / tau)).sum(axis=0)
     ) + shift
+
+
+def _default_window(
+    config: OpticalConfig, engine: ImagingEngine, pvb: bool = True
+) -> ProcessWindow:
+    """Every objective's default window: Eq. (8)'s dose corners
+    (:meth:`ProcessWindow.from_config`) at ``engine``'s own aberration.
+
+    Its ``robust="sum"`` loss *is* ``gamma * L2 + eta * L_pvb`` imaged
+    at the engine's own pupil condition.  ``pvb=False`` keeps the
+    nominal corner alone: ``gamma * L2``, Neural-ILT's printability loss.
+    """
+    corners = ProcessWindow.from_config(config).corners
+    return ProcessWindow(
+        tuple(
+            replace(c, aberrations=engine.aberration)
+            for c in (corners if pvb else corners[:1])
+        )
+    )
 
 
 def windowed_corner_loss(
@@ -468,25 +457,28 @@ def adaptive_corner_update(
 
 
 class ProcessWindowSMOObjective:
-    """Robust SMO loss across a dose x aberration :class:`ProcessWindow`.
+    """The Abbe SMO loss ``L_smo(theta_J, theta_M)`` across a dose x
+    aberration :class:`ProcessWindow` — the one Abbe SMO objective.
 
-    The condition-axis counterpart of :class:`AbbeSMOObjective` /
-    :class:`BatchedSMOObjective`: one evaluation images every distinct
-    pupil condition of the window — defocus and general Zernike
-    aberrations alike — through the engine's fused ``aerial_conditions``
-    stack (a single mask-spectrum FFT shared by all conditions), applies
-    each corner's exact ``dose**2`` scaling (and calibrated resist
-    threshold, when set) in the resist model, and reduces the per-corner
-    losses with :func:`robust_corner_loss`.  With the default window
-    (:meth:`ProcessWindow.from_config`) and ``robust="sum"`` this equals
-    the classic SMO loss exactly.  ``robust="adaptive"`` attaches an
+    One evaluation images every distinct pupil condition of the window
+    — defocus and general Zernike aberrations alike — through the
+    engine's fused ``aerial_conditions`` stack (a single mask-spectrum
+    FFT shared by all conditions), applies each corner's exact
+    ``dose**2`` scaling (and calibrated resist threshold, when set) in
+    the resist model, and reduces the per-corner losses with
+    :func:`robust_corner_loss`.  Without ``window`` the window is Eq.
+    (8)'s three dose corners at the engine's own aberration, so under
+    ``robust="sum"`` the loss *is* the paper's ``gamma * L2 + eta *
+    L_pvb`` (Eqs. (7)-(9)); :class:`AbbeSMOObjective` and
+    :class:`BatchedSMOObjective` are this default on an ``(N, N)`` tile
+    and a ``(B, N, N)`` stack.  ``robust="adaptive"`` attaches an
     :class:`AdaptiveCornerWeights` ascent (``tau`` becomes the EG rate)
     that solvers step once per outer iteration via
     :func:`adaptive_corner_update`.
 
     ``target`` may be a single ``(N, N)`` tile or a ``(B, N, N)`` stack
-    (joint multi-clip robust SMO — per-tile robust losses ride every
-    iteration record, and the ``(C, B)`` corner matrix is stashed on
+    (joint multi-clip SMO — per-tile losses ride every iteration
+    record, and the ``(C, B)`` corner matrix is stashed on
     ``last_corner_losses`` for the harness report).  Differentiable in
     both parameters.  The loss splits at the aerial stack
     (:meth:`loss_from_aerial` over :attr:`conditions`), which is what
@@ -518,13 +510,6 @@ class ProcessWindowSMOObjective:
                 f"target must be ({n}, {n}) or (B, {n}, {n}); got {target.shape}"
             )
         self.config = config
-        self.window = window or ProcessWindow.from_config(config)
-        self.robust = robust
-        self.tau = float(tau)
-        self.reduction = reduction
-        self._batched = target.ndim == 3
-        self.num_tiles = target.shape[0] if self._batched else 1
-        self.target = self.targets = ad.Tensor(target)
         self.engine = engine or engine_for(config, "abbe")
         if not hasattr(self.engine, "source_weights"):
             raise ValueError(
@@ -533,6 +518,13 @@ class ProcessWindowSMOObjective:
                 "baked-source Hopkins engines use "
                 "HopkinsMOObjective(..., window=...) instead"
             )
+        self.window = window or _default_window(config, self.engine)
+        self.robust = robust
+        self.tau = float(tau)
+        self.reduction = reduction
+        self._batched = target.ndim == 3
+        self.num_tiles = target.shape[0] if self._batched else 1
+        self.target = self.targets = ad.Tensor(target)
         #: ``(C, B)`` per-corner / per-tile loss matrix of the latest
         #: :meth:`loss` call (C follows ``window.corners`` order).
         self.last_corner_losses: Optional[np.ndarray] = None
@@ -550,8 +542,17 @@ class ProcessWindowSMOObjective:
 
     def check_theta_m(self, theta_m) -> None:
         """Raise ``ValueError`` unless ``theta_m`` is shaped like the
-        target (``(B, N, N)`` batched, ``(N, N)`` otherwise)."""
-        _check_theta_shape(theta_m, self.target)
+        target (``(B, N, N)`` batched, ``(N, N)`` otherwise).
+
+        The corner losses broadcast an aerial against the targets, so a
+        single ``(N, N)`` mask against ``(B, N, N)`` targets would
+        silently optimize one mask for the sum of all targets.
+        """
+        if tuple(theta_m.shape) != tuple(self.target.shape):
+            raise ValueError(
+                f"theta_m must be shaped like the target "
+                f"{tuple(self.target.shape)}; got {tuple(theta_m.shape)}"
+            )
 
     def _reduce(self, total: ad.Tensor, matrix: np.ndarray) -> ad.Tensor:
         self.last_corner_losses = matrix
@@ -637,17 +638,24 @@ class ProcessWindowSMOObjective:
         sq = (resists - self.target.data) ** 2
         return sq.sum(axis=(-2, -1)).reshape(self.window.num_corners, -1)
 
+    def tile_losses(self, theta_j: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
+        """Per-tile loss vector ``(B,)`` via the inference fast path."""
+        return robust_tile_losses(
+            self.corner_loss_matrix(theta_j, theta_m),
+            self.window, self.robust, self.tau,
+            weights=self._robust_weights(),
+        )
+
     def source_only_loss(self, theta_m: np.ndarray):
         """FFT-free robust source-only closure at fixed ``theta_M``.
 
-        Extends ``BatchedSMOObjective.source_only_loss`` across the
-        condition axis: Abbe's aerial is linear in the normalized source
-        weights at *every* pupil condition, so one intensity basis per
-        distinct condition makes the whole robust loss an FFT-free
-        function of ``theta_J`` — the cheap inner-SO / inner-Hessian
-        oracle BiSMO uses.  Adaptive corner weights are read at *call*
-        time, so the closure tracks the minimax ascent across outer
-        iterations.  Returns ``None`` for custom engines that do not
+        Abbe's aerial is linear in the normalized source weights at
+        *every* pupil condition, so at fixed masks one intensity basis
+        per distinct condition makes the whole robust loss an FFT-free
+        function of ``theta_J``, exactly equal to ``loss(theta_j,
+        theta_m)`` — the cheap inner-SO / inner-Hessian oracle BiSMO
+        uses.  Adaptive corner weights are read at *call* time, so the
+        closure tracks the minimax ascent across outer iterations.  Returns ``None`` for custom engines that do not
         expose an intensity basis.
         """
         engine = self.engine
@@ -691,12 +699,12 @@ class ProcessWindowSMOObjective:
         """Nominal-dose images plus the full per-corner resist stack.
 
         The nominal keys (``aerial``/``resist``/``resist_min``/
-        ``resist_max``) match :class:`AbbeSMOObjective.images` so every
-        downstream consumer (harness judge, metrics) keeps working:
-        they are evaluated at the window's pupil condition *closest to
-        nominal* (smallest aberration magnitude — exactly the unaberrated
-        condition whenever the window contains one) and at the config's
-        nominal/min/max doses; ``corner_resists`` adds the
+        ``resist_max``) feed every downstream consumer (harness judge,
+        metrics): they are evaluated at the window's pupil condition
+        *closest to nominal* (smallest aberration magnitude — exactly
+        the unaberrated condition whenever the window contains one, and
+        the engine's own condition for the default window) and at the
+        config's nominal/min/max doses; ``corner_resists`` adds the
         ``(C, [B,] N, N)`` stack across the window's actual corners
         (honoring per-corner resist thresholds) and ``corner_aerials``
         the per-condition aerial stack.
@@ -733,80 +741,54 @@ class ProcessWindowSMOObjective:
         return images
 
 
-class AbbeSMOObjective:
-    """The unified Abbe-based SMO loss ``L_smo(theta_J, theta_M)``.
+class AbbeSMOObjective(ProcessWindowSMOObjective):
+    """Single-tile ``L_smo(theta_J, theta_M)`` on an ``(N, N)`` target:
+    the default-window objective, which backs SO, MO and both BiSMO
+    levels (the paper uses one loss at both levels, Eq. (9))."""
 
-    This single callable backs SO, MO and all BiSMO levels (the paper
-    uses the same objective at both levels, Eq. (9)); which parameter a
-    solver differentiates decides the role.  The loss splits at the
-    aerial image: :meth:`loss_from_aerial` over the one-condition
-    stack at :attr:`conditions`.
-    """
-
-    num_tiles: int = 1
-    #: Single-tile objectives never stash per-tile losses.
-    last_tile_losses: Optional[np.ndarray] = None
+    # perfbench/layers.py patches ``loss`` through each class's own
+    # ``__dict__``; this binding keeps that patch point on the subclass.
+    loss = ProcessWindowSMOObjective.loss
 
     def __init__(
         self,
         config: OpticalConfig,
         target: np.ndarray,
         engine: Optional[ImagingEngine] = None,
-        source_grid: Optional[SourceGrid] = None,
     ):
-        self.config = config
+        target = np.asarray(target, dtype=np.float64)
         if target.shape != (config.mask_size, config.mask_size):
             raise ValueError(
                 f"target shape {target.shape} != mask grid "
                 f"({config.mask_size}, {config.mask_size})"
             )
-        self.target = ad.Tensor(np.asarray(target, dtype=np.float64))
-        if engine is not None:
-            self.engine = engine
-        elif source_grid is not None:
-            self.engine = AbbeImaging(config, source_grid)
-        else:
-            self.engine = engine_for(config, "abbe")
+        super().__init__(config, target, engine=engine)
 
-    @property
-    def conditions(self) -> tuple:
-        """The engine's own pupil condition: nominal imaging is the
-        one-condition aerial stack."""
-        return (self.engine.aberration,)
 
-    def check_theta_m(self, theta_m) -> None:
-        """Raise ``ValueError`` unless ``theta_m`` is ``(N, N)``."""
-        _check_theta_shape(theta_m, self.target)
+class BatchedSMOObjective(ProcessWindowSMOObjective):
+    """Joint ``L_smo`` over a ``(B, N, N)`` target stack sharing one
+    source: the default-window objective on a tile batch (one fused
+    forward, one graph; ``reduction`` is ``"sum"`` or ``"mean"``)."""
 
-    def loss_from_aerial(self, stack: ad.Tensor) -> ad.Tensor:
-        """L_smo from the ``(1, N, N)`` aerial stack (FFT-free)."""
-        return smo_loss_from_aerial(
-            drop_condition_axis(stack), self.target, self.config
-        )
+    # perfbench/layers.py patches ``loss`` and ``source_only_loss``
+    # through each class's own ``__dict__``; these bindings keep them.
+    loss = ProcessWindowSMOObjective.loss
+    source_only_loss = ProcessWindowSMOObjective.source_only_loss
 
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """L_smo as an autodiff scalar (differentiable in both thetas)."""
-        self.check_theta_m(theta_m)
-        source = source_from_theta(theta_j, self.config)
-        mask = mask_from_theta(theta_m, self.config)
-        return self.loss_from_aerial(
-            self.engine.aerial_conditions(mask, source, self.conditions)
-        )
-
-    def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
-        """All intermediate images at the current parameters.
-
-        Inference-only: the aerial image comes from the engine's
-        graph-free fast path.
-        """
-        with ad.no_grad():
-            source = source_from_theta(ad.Tensor(theta_j), self.config).data
-            mask = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        images = _resist_images_fast(
-            self.engine.aerial_fast(mask, source), self.config
-        )
-        images.update(source=source, mask=mask, target=self.target.data)
-        return images
+    def __init__(
+        self,
+        config: OpticalConfig,
+        targets: np.ndarray,
+        engine: Optional[ImagingEngine] = None,
+        reduction: str = "sum",
+    ):
+        targets = np.asarray(targets, dtype=np.float64)
+        n = config.mask_size
+        if targets.ndim != 3 or targets.shape[-2:] != (n, n):
+            raise ValueError(
+                f"targets must be (B, {n}, {n}); got shape {targets.shape}"
+            )
+        super().__init__(config, targets, engine=engine, reduction=reduction)
 
 
 class HopkinsMOObjective:
@@ -823,9 +805,10 @@ class HopkinsMOObjective:
     then be a matching ``(B, N, N)`` parameter stack and the loss is the
     sum over tiles, riding the engine's fused multi-tile forward).
 
-    ``window`` switches the loss to the robust dose x aberration
-    reduction of :func:`robust_corner_loss` across a
-    :class:`ProcessWindow`: aberration corners ride the engine's fused
+    The loss is the robust dose x aberration reduction of
+    :func:`robust_corner_loss` across ``window`` — by default Eq. (8)'s
+    dose corners at the engine's own aberration, whose ``"sum"`` is the
+    paper's ``gamma * L2 + eta * L_pvb``.  Aberration corners ride the engine's fused
     ``aerial_conditions`` stack (the aberrated SOCS kernels are exact
     phase multiplies of the nominal decomposition — the arbitrary-D
     identity, no TCC rebuild), dose corners share each condition pass.
@@ -864,13 +847,13 @@ class HopkinsMOObjective:
         self.target = ad.Tensor(target)
         self._source_grid = source_grid
         self._num_kernels = num_kernels
-        self.window = window
         self.robust = robust
         self.robust_tau = float(robust_tau)
         self.engine = engine or self._build_engine(source)
+        self.window = window or _default_window(config, self.engine)
         #: Per-tile losses of the latest :meth:`loss` call (batched only).
         self.last_tile_losses: Optional[np.ndarray] = None
-        #: ``(C, B)`` corner/tile matrix of the latest windowed call.
+        #: ``(C, B)`` corner/tile matrix of the latest :meth:`loss` call.
         self.last_corner_losses: Optional[np.ndarray] = None
         #: Live minimax corner weights (``robust="adaptive"`` only); a
         #: caller-supplied instance (AM-SMO, MILT) takes precedence so
@@ -884,7 +867,7 @@ class HopkinsMOObjective:
         self.adaptive_weights = (
             adaptive_weights
             if adaptive_weights is not None
-            else AdaptiveCornerWeights.maybe(window, robust, robust_tau)
+            else AdaptiveCornerWeights.maybe(self.window, robust, robust_tau)
         )
 
     def _robust_weights(self) -> Optional[np.ndarray]:
@@ -913,166 +896,44 @@ class HopkinsMOObjective:
                 f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
             )
         mask = mask_from_theta(theta_m, self.config)
-        if self.window is not None:
-            total, matrix = windowed_corner_loss(
-                self.engine,
-                self.config,
-                mask,
-                self.target,
-                self.window,
-                self.robust,
-                self.robust_tau,
+        total, matrix = windowed_corner_loss(
+            self.engine,
+            self.config,
+            mask,
+            self.target,
+            self.window,
+            self.robust,
+            self.robust_tau,
+            weights=self._robust_weights(),
+        )
+        self.last_corner_losses = matrix
+        if self._batched:
+            self.last_tile_losses = robust_tile_losses(
+                matrix, self.window, self.robust, self.robust_tau,
                 weights=self._robust_weights(),
             )
-            self.last_corner_losses = matrix
-            if self._batched:
-                self.last_tile_losses = robust_tile_losses(
-                    matrix, self.window, self.robust, self.robust_tau,
-                    weights=self._robust_weights(),
-                )
-            return total
-        aerial = self.engine.aerial(mask)
-        if self._batched:
-            self.last_tile_losses = _tile_losses_from_aerial(
-                aerial.data, self.target.data, self.config
-            )
-        return smo_loss_from_aerial(aerial, self.target, self.config)
+        return total
 
     def tile_losses(self, theta_m: np.ndarray) -> np.ndarray:
-        """Per-tile loss vector ``(B,)`` via the inference fast path."""
+        """Per-tile loss vector ``(B,)`` of :meth:`loss` (no graph)."""
         if not self._batched:
             raise ValueError("tile_losses needs a (B, N, N) target stack")
-        images = self.images(theta_m)
-        return _tile_loss_vector(images, self.target.data, self.config)
+        with ad.no_grad():
+            mask = mask_from_theta(ad.Tensor(theta_m), self.config)
+            _, matrix = windowed_corner_loss(
+                self.engine, self.config, mask, self.target, self.window,
+                self.robust, self.robust_tau, weights=self._robust_weights(),
+            )
+        return robust_tile_losses(
+            matrix, self.window, self.robust, self.robust_tau,
+            weights=self._robust_weights(),
+        )
 
     def images(self, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
         with ad.no_grad():
             mask = mask_from_theta(ad.Tensor(theta_m), self.config).data
         images = _resist_images_fast(self.engine.aerial_fast(mask), self.config)
         images.update(mask=mask, target=self.target.data)
-        return images
-
-
-class BatchedSMOObjective:
-    """Joint SMO loss over a batch of layout tiles sharing one source.
-
-    Evaluating B tiles through one engine call turns the whole layout
-    suite into a single fused FFT stack (and a single autodiff graph)
-    instead of a Python loop over per-tile objectives — the multi-tile
-    extension of the paper's Abbe batching.
-
-    Parameters
-    ----------
-    targets:
-        ``(B, N, N)`` stack of binary target tiles (see
-        :func:`repro.layouts.tile_stack`).
-    reduction:
-        ``"sum"`` (default) or ``"mean"`` over the batch.
-    """
-
-    def __init__(
-        self,
-        config: OpticalConfig,
-        targets: np.ndarray,
-        engine: Optional[ImagingEngine] = None,
-        reduction: str = "sum",
-    ):
-        targets = np.asarray(targets, dtype=np.float64)
-        n = config.mask_size
-        if targets.ndim != 3 or targets.shape[-2:] != (n, n):
-            raise ValueError(
-                f"targets must be (B, {n}, {n}); got shape {targets.shape}"
-            )
-        if reduction not in ("sum", "mean"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.config = config
-        self.reduction = reduction
-        self.num_tiles = targets.shape[0]
-        self.targets = ad.Tensor(targets)
-        self.engine = engine or engine_for(config, "abbe")
-        #: Per-tile loss vector of the most recent :meth:`loss` call,
-        #: derived from that call's aerial at no extra imaging cost.
-        self.last_tile_losses: Optional[np.ndarray] = None
-
-    @property
-    def conditions(self) -> tuple:
-        """The engine's own pupil condition (one-condition stack)."""
-        return (self.engine.aberration,)
-
-    def check_theta_m(self, theta_m) -> None:
-        """Raise ``ValueError`` unless ``theta_m`` is ``(B, N, N)``."""
-        _check_theta_shape(theta_m, self.targets)
-
-    def loss_from_aerial(self, stack: ad.Tensor) -> ad.Tensor:
-        """Batch SMO loss from the ``(1, B, N, N)`` aerial stack
-        (FFT-free; stashes the per-tile losses like :meth:`loss`)."""
-        aerial = drop_condition_axis(stack)
-        self.last_tile_losses = _tile_losses_from_aerial(
-            aerial.data, self.targets.data, self.config
-        )
-        total = smo_loss_from_aerial(aerial, self.targets, self.config)
-        if self.reduction == "mean":
-            total = F.div(total, float(self.num_tiles))
-        return total
-
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Batch SMO loss; ``theta_m`` is a ``(B, N, N)`` parameter stack."""
-        self.check_theta_m(theta_m)
-        source = source_from_theta(theta_j, self.config)
-        masks = mask_from_theta(theta_m, self.config)
-        # One fused stack for the whole batch: (1, B, N, N).
-        return self.loss_from_aerial(
-            self.engine.aerial_conditions(masks, source, self.conditions)
-        )
-
-    def tile_losses(self, theta_j: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
-        """Per-tile loss vector ``(B,)`` via the inference fast path."""
-        images = self.images(theta_j, theta_m)
-        return _tile_loss_vector(images, self.targets.data, self.config)
-
-    def source_only_loss(self, theta_m: np.ndarray):
-        """FFT-free source-only loss closure at a fixed ``theta_M`` stack.
-
-        Abbe's aerial is linear in the normalized source weights, so at
-        fixed masks the per-source-point intensity basis ``X[b, s]`` is a
-        constant; the returned closure rebuilds ``L_smo(theta_J)`` from
-        ``X`` with a graph that never touches an FFT.  Exactly equal to
-        ``loss(theta_j, theta_m)`` as a function of ``theta_j`` — BiSMO's
-        inner SO steps run on it, and its ``bases`` attribute carries
-        ``X`` to the second-order oracles of the same outer iteration.
-        Returns ``None`` when the engine cannot expose the basis
-        (e.g. Hopkins, where the source is baked into the TCC).
-        """
-        if not hasattr(self.engine, "source_intensity_basis") or not hasattr(
-            self.engine, "aerial_from_basis"
-        ):
-            return None
-        with ad.no_grad():
-            masks = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        basis = ad.Tensor(self.engine.source_intensity_basis(masks))
-
-        def loss_j(theta_j: ad.Tensor) -> ad.Tensor:
-            source = source_from_theta(theta_j, self.config)
-            aerial = self.engine.aerial_from_basis(basis, source)
-            total = smo_loss_from_aerial(aerial, self.targets, self.config)
-            if self.reduction == "mean":
-                total = F.div(total, float(self.num_tiles))
-            return total
-
-        #: The basis of the one entry of :attr:`conditions`, reused by
-        #: BiSMO's second-order oracles at the same ``theta_M``.
-        loss_j.bases = (basis.data,)
-        return loss_j
-
-    def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
-        """Batched intermediate images, all ``(B, N, N)`` (no graph)."""
-        with ad.no_grad():
-            source = source_from_theta(ad.Tensor(theta_j), self.config).data
-            masks = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        images = _resist_images_fast(
-            self.engine.aerial_fast(masks, source), self.config
-        )
-        images.update(source=source, mask=masks, target=self.targets.data)
         return images
 
 

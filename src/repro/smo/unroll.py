@@ -20,7 +20,7 @@ import numpy as np
 
 from ..opt import make_optimizer
 from .bismo import HypergradientContext, inner_iterates
-from .objective import AbbeSMOObjective
+from .objective import ProcessWindowSMOObjective
 
 __all__ = ["unrolled_hypergradient", "reverse_sweep_hypergradient"]
 
@@ -48,7 +48,7 @@ def reverse_sweep_hypergradient(
 
 
 def unrolled_hypergradient(
-    objective: AbbeSMOObjective,
+    objective: ProcessWindowSMOObjective,
     theta_j: np.ndarray,
     theta_m: np.ndarray,
     steps: int,

@@ -28,12 +28,14 @@ from repro.optics.engine import composed_condition_stack
 from repro.smo import (
     AbbeMO,
     AbbeSMOObjective,
-    BatchedSMOObjective,
     BiSMO,
     HopkinsMOObjective,
     ProcessWindowSMOObjective,
     init_theta_mask,
     init_theta_source,
+    mask_from_theta,
+    smo_loss_from_aerial,
+    source_from_theta,
 )
 from repro.smo.bismo import HypergradientContext
 
@@ -252,30 +254,48 @@ def pw_setup():
     return cfg, targets, source, theta_j, theta_m, window
 
 
+def _classic_loss(cfg, targets, engine, reduction="sum"):
+    """Eqs. (7)-(8) as one literal graph: ``smo_loss_from_aerial`` over
+    the engine's nominal aerial image — the window-free reference."""
+
+    def loss(tj, tm):
+        src = source_from_theta(tj, cfg)
+        mask = mask_from_theta(tm, cfg)
+        total = smo_loss_from_aerial(engine.aerial(mask, src), ad.Tensor(targets), cfg)
+        return F.div(total, float(len(targets))) if reduction == "mean" else total
+
+    return loss
+
+
+def _assert_equals_classic(objective, classic, theta_j, theta_m):
+    """Value (rtol 1e-12) and both gradients (atol 1e-10) agree."""
+    outs = []
+    for fn in (objective.loss, classic):
+        tj = ad.Tensor(theta_j, requires_grad=True)
+        tm = ad.Tensor(theta_m, requires_grad=True)
+        loss = fn(tj, tm)
+        gj, gm = ad.grad(loss, [tj, tm])
+        outs.append((float(loss.data), gj.data, gm.data))
+    np.testing.assert_allclose(outs[0][0], outs[1][0], rtol=1e-12)
+    np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-10)
+    np.testing.assert_allclose(outs[0][2], outs[1][2], atol=1e-10)
+
+
 class TestProcessWindowObjective:
     def test_default_window_equals_classic_loss(self, pw_setup):
+        """The default window's loss is Eqs. (7)-(8) written out
+        literally, in value and both gradients, under both reductions."""
         cfg, targets, _, theta_j, theta_m, _ = pw_setup
-        pwo = ProcessWindowSMOObjective(cfg, targets)
-        classic = BatchedSMOObjective(cfg, targets)
-        outs = []
-        for obj in (pwo, classic):
-            tj = ad.Tensor(theta_j, requires_grad=True)
-            tm = ad.Tensor(theta_m, requires_grad=True)
-            loss = obj.loss(tj, tm)
-            gj, gm = ad.grad(loss, [tj, tm])
-            outs.append((float(loss.data), gj.data, gm.data))
-        np.testing.assert_allclose(outs[0][0], outs[1][0], rtol=1e-12)
-        np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-10)
-        np.testing.assert_allclose(outs[0][2], outs[1][2], atol=1e-10)
+        for reduction in ("sum", "mean"):
+            pwo = ProcessWindowSMOObjective(cfg, targets, reduction=reduction)
+            classic = _classic_loss(cfg, targets, pwo.engine, reduction)
+            _assert_equals_classic(pwo, classic, theta_j, theta_m)
 
     def test_single_tile_default_window_equals_abbe_objective(self, pw_setup):
         cfg, targets, _, theta_j, theta_m, _ = pw_setup
-        pwo = ProcessWindowSMOObjective(cfg, targets[0])
-        classic = AbbeSMOObjective(cfg, targets[0])
-        with ad.no_grad():
-            a = pwo.loss(ad.Tensor(theta_j), ad.Tensor(theta_m[0])).data
-            b = classic.loss(ad.Tensor(theta_j), ad.Tensor(theta_m[0])).data
-        np.testing.assert_allclose(float(a), float(b), rtol=1e-12)
+        abbe = AbbeSMOObjective(cfg, targets[0])
+        classic = _classic_loss(cfg, targets[0], abbe.engine)
+        _assert_equals_classic(abbe, classic, theta_j, theta_m[0])
 
     def test_robust_sum_matches_reference_loop(self, pw_setup):
         """The acceptance bar: fused C-corner loss == per-corner loop to

@@ -5,10 +5,11 @@ import pytest
 
 import repro.autodiff as ad
 from repro.autodiff import functional as F
-from repro.optics import AbbeImaging, OpticalConfig
+from repro.optics import AbbeImaging, HopkinsImaging, OpticalConfig
 from repro.smo import (
     AbbeSMOObjective,
     HopkinsMOObjective,
+    ProcessWindowSMOObjective,
     dose_resist,
     init_theta_mask,
     init_theta_source,
@@ -99,7 +100,7 @@ class TestLossStructure:
         with pytest.raises(ValueError):
             AbbeSMOObjective(cfg, np.zeros((4, 4)))
 
-    def test_images_keys(self, objective, thetas):
+    def test_images_keys(self, cfg, objective, thetas):
         tj, tm = thetas
         images = objective.images(tj, tm)
         assert set(images) == {
@@ -110,8 +111,14 @@ class TestLossStructure:
             "resist_min",
             "resist_max",
             "target",
+            "corner_aerials",
+            "corner_resists",
         }
         assert images["resist"].shape == images["target"].shape
+        n = cfg.mask_size
+        # The default window: three dose corners sharing one condition.
+        assert images["corner_aerials"].shape == (1, n, n)
+        assert images["corner_resists"].shape == (3, n, n)
 
 
 class TestHopkinsObjective:
@@ -140,3 +147,39 @@ class TestHopkinsObjective:
         obj = HopkinsMOObjective(cfg, tiny_target, tiny_source, num_kernels=8)
         images = obj.images(init_theta_mask(tiny_target, cfg))
         assert "resist" in images and "aerial" in images
+
+
+class TestDefaultWindowFollowsEngineAberration:
+    """Without an explicit window the objectives image Eq. (8)'s dose
+    corners at their engine's own aberration, not in focus."""
+
+    def test_abbe_default_window_on_defocused_engine(
+        self, cfg, tiny_target, thetas
+    ):
+        tj, tm = thetas
+        engine = AbbeImaging(cfg, defocus_nm=80.0)
+        obj = ProcessWindowSMOObjective(cfg, tiny_target, engine=engine)
+        assert obj.conditions == (engine.aberration,)
+        with ad.no_grad():
+            loss = obj.loss(ad.Tensor(tj), ad.Tensor(tm)).item()
+            src = source_from_theta(ad.Tensor(tj), cfg)
+            mask = mask_from_theta(ad.Tensor(tm), cfg)
+            ref = smo_loss_from_aerial(
+                engine.aerial(mask, src), ad.Tensor(tiny_target), cfg
+            ).item()
+        np.testing.assert_allclose(loss, ref, rtol=1e-12)
+
+    def test_hopkins_default_window_on_defocused_engine(
+        self, cfg, tiny_target, tiny_source, thetas
+    ):
+        _, tm = thetas
+        engine = HopkinsImaging(cfg, tiny_source, num_kernels=8, defocus_nm=80.0)
+        obj = HopkinsMOObjective(cfg, tiny_target, tiny_source, engine=engine)
+        assert obj.window.conditions() == (engine.aberration,)
+        with ad.no_grad():
+            loss = obj.loss(ad.Tensor(tm)).item()
+            mask = mask_from_theta(ad.Tensor(tm), cfg)
+            ref = smo_loss_from_aerial(
+                engine.aerial(mask), ad.Tensor(tiny_target), cfg
+            ).item()
+        np.testing.assert_allclose(loss, ref, rtol=1e-12)
