@@ -31,7 +31,7 @@ caching (:mod:`repro.optics.cache`) land everywhere at once.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "incoherent_sum_fast",
     "composed_condition_stack",
     "condition_stack_fast",
+    "stack_conditions",
     "drop_condition_axis",
     "engine_for",
     "CONDITION_MEMO_MAX",
@@ -123,11 +124,18 @@ def composed_condition_stack(
     """Composed-op reference for a condition stack (``fused=False``).
 
     One :func:`~repro.autodiff.functional.incoherent_image_composed`
-    graph per kernel stack, scattered into the ``(F, ...)`` output: the
+    graph per kernel stack, stacked by :func:`stack_conditions`: the
     pre-fusion oracle the fused primitive is tested and benchmarked
     against.
     """
-    aerials = [F.incoherent_image_composed(mask, k, weights) for k in kernel_stacks]
+    return stack_conditions(
+        [F.incoherent_image_composed(mask, k, weights) for k in kernel_stacks]
+    )
+
+
+def stack_conditions(aerials: "Sequence[ad.Tensor]") -> "ad.Tensor":
+    """Differentiable ``(F, ...)`` stack of per-condition aerial tensors:
+    each one scattered into its slot of the condition axis and summed."""
     shape = (len(aerials),) + aerials[0].shape
     total = None
     for fi, aerial in enumerate(aerials):

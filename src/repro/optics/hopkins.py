@@ -25,6 +25,7 @@ import scipy.sparse.linalg
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
+from ..utils.seed import seeded_rng
 from .config import OpticalConfig
 from .engine import (
     CONDITION_MEMO_MAX,
@@ -107,9 +108,15 @@ def socs_kernels(
         vals, vecs = vals[::-1], vecs[:, ::-1]
         vals, vecs = vals[:q], vecs[:, :q]
     else:
-        vals, vecs = scipy.sparse.linalg.eigsh(tcc, k=q, which="LA")
+        # A seeded Lanczos start vector makes the solve reproducible (a
+        # constant one is parity-even and would miss odd eigenvectors).
+        v0 = seeded_rng("optics", "socs", "v0").standard_normal(p)
+        vals, vecs = scipy.sparse.linalg.eigsh(tcc, k=q, which="LA", v0=v0)
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]
+    # Fix each eigenvector's sign: its largest-magnitude entry is positive.
+    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    vecs = vecs * np.where(peak < 0.0, -1.0, 1.0)
     vals = np.clip(vals, 0.0, None)  # PSD up to numerical noise
     n = config.mask_size
     from . import backend as abk

@@ -14,11 +14,12 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
 (:mod:`repro.smo.unroll`); each outer iteration
 
 1. unrolls ``T`` inner SO steps to track theta_J* (Alg. 2 line 2),
-2. builds a :class:`HypergradientContext` — one fused forward and one
-   streamed backward giving the direct gradients, plus exact HVP /
-   mixed-JVP oracles that split the loss at the aerial image (FFT-free
-   Hessian products through the intensity basis, streamed mask VJPs
-   for the mixed term; no create-graph imaging graph),
+2. builds a :class:`HypergradientContext` — the direct gradients and
+   exact HVP / mixed-JVP oracles that split the loss at the aerial
+   image: the aerial stack and the FFT-free Hessian products come from
+   the intensity basis the inner steps built, and each mask gradient is
+   one streamed mask VJP (no imaging forward, no create-graph imaging
+   graph),
 3. forms the hypergradient and updates theta_M (Alg. 2 line 13).
 
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
@@ -30,7 +31,7 @@ corners by default, or an explicit process window.
 
 Joint multi-clip SMO: passing a ``(B, N, N)`` target stack optimizes one shared
 ``theta_J`` against a ``(B, N, N)`` ``theta_M`` stack; hypergradients
-and HVPs flow through the fused batched forward and every
+and HVPs cover the whole stack at once and every
 :class:`IterationRecord` carries the per-tile loss vector.  Every
 solver, UNROLL included, takes its second-order products from these
 oracles: fused imaging is once-differentiable.
@@ -62,10 +63,6 @@ from .state import IterationRecord, SMOResult
 
 __all__ = ["HypergradientContext", "BiSMO"]
 
-#: Second-order oracle modes of :class:`HypergradientContext`.
-HVP_MODES = ("exact", "fd")
-
-
 class HypergradientContext:
     """First-order state at (theta_J, theta_M) plus exact second-order
     oracles.
@@ -79,30 +76,32 @@ class HypergradientContext:
       ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M).
 
     The oracles feed every hypergradient strategy: finite-difference
-    (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`)
-    and conjugate gradient (:mod:`repro.smo.cg`).
+    (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`),
+    conjugate gradient (:mod:`repro.smo.cg`) and the unrolled reverse
+    sweep (:mod:`repro.smo.unroll`).
 
-    ``hvp_mode="exact"`` on an objective that splits at the aerial image
-    (``loss_from_aerial`` over ``conditions``, ``check_theta_m``, and an
-    :class:`repro.optics.abbe.AbbeImaging` engine) takes the matrix-free path
-    (:attr:`split` is True).  The aerial stack is linear in the
+    An objective that splits at the aerial image (``loss_from_aerial``
+    over ``conditions``, ``check_theta_m``, and an
+    :class:`repro.optics.abbe.AbbeImaging` engine) takes the matrix-free
+    path (:attr:`split` is True).  The aerial stack is linear in the
     normalized source weights, ``A = X jn(theta_J)`` with ``X`` the
     per-condition intensity bases at the fixed mask, and the loss
     ``l(A)`` is an FFT-free function of ``A``.  With ``g_A = dl/dA``,
     ``H_l`` its Hessian, ``J = d jn / d theta_J`` and ``phi(theta_J) =
     <X^T g_A, jn(theta_J)>``:
 
+    * ``grad_m`` is the mask-chain VJP of ``VJP_M[weights=jn,
+      upstream=g_A]``;
     * ``hvp(p) = J^T X^T H_l X J p + hess(phi) p`` — FFT-free;
     * ``mixed_vjp(w)`` is the mask-chain VJP of
       ``VJP_M[weights=J w, upstream=g_A] + VJP_M[weights=jn,
-      upstream=H_l X J w]``: two graph-free streamed mask VJPs
-      (:func:`repro.autodiff.functional.incoherent_stack_mask_vjp`).
+      upstream=H_l X J w]``.
 
-    The context keeps no create-graph imaging graph: one fused
-    first-order forward, one streamed backward for ``grad_m``, and
-    small create-graph graphs over the aerial stack (``l``) and the
-    source chain (``jn``).  ``X`` comes from ``so_loss_fn.bases`` (the
-    solver's source-only closure) or is built from the engine.
+    Each ``VJP_M`` sum is one graph-free streamed mask VJP
+    (:func:`repro.autodiff.functional.incoherent_stack_mask_vjp`).  No
+    imaging forward runs: ``A`` comes from the bases ``X`` (the solver's
+    ``so_loss_fn.bases``, or built from the engine), and the only
+    create-graph graphs are small ones over ``A`` and ``jn``.
 
     Objectives without the split (duck-typed toys, the per-tile
     :class:`repro.smo.objective.LoopedSMOObjective` reference) take the
@@ -110,8 +109,6 @@ class HypergradientContext:
     both products by a second backward pass through the gradient graph
     — the double-backward reference the split path is tested against
     (on a composed engine, ``AbbeImaging(config, fused=False)``).
-    ``hvp_mode="fd"`` uses central differences of fresh gradient
-    evaluations instead (cheaper in memory — the DARTS trick).
 
     ``objective`` is any SMO objective exposing ``loss(theta_j,
     theta_m)`` — normally a :class:`ProcessWindowSMOObjective` on an
@@ -124,35 +121,26 @@ class HypergradientContext:
         objective: ProcessWindowSMOObjective,
         theta_j: np.ndarray,
         theta_m: np.ndarray,
-        hvp_mode: str = "exact",
-        fd_eps: float = 1e-2,
         so_loss_fn: Optional[Callable[[ad.Tensor], ad.Tensor]] = None,
     ):
-        if hvp_mode not in HVP_MODES:
-            raise ValueError(f"unknown hvp_mode {hvp_mode!r}")
         self.objective = objective
-        self.hvp_mode = hvp_mode
-        self.fd_eps = fd_eps
         self._tj = ad.Tensor(theta_j, requires_grad=True)
         self._tm = ad.Tensor(theta_m, requires_grad=True)
         # ``so_loss_fn`` lets the solver share one intensity basis across
-        # the whole outer iteration; otherwise the objective's
-        # ``source_only_loss`` factory is used (FD mode's cheap inner
-        # gradients, the split path's bases).
-        if so_loss_fn is None:
-            factory = getattr(objective, "source_only_loss", None)
-            so_loss_fn = factory(theta_m) if factory is not None else None
+        # the whole outer iteration (and :meth:`at` across iterates).
         self._so_loss_fn = so_loss_fn
-        #: True when the oracles run on the matrix-free split path.
-        self.split = hvp_mode == "exact" and _splits_at_aerial(objective)
+        #: True when the oracles run on the matrix-free split path: it
+        #: needs Abbe's linear-in-``jn`` bases and source normalization.
+        self.split = hasattr(objective, "loss_from_aerial") and isinstance(
+            getattr(objective, "engine", None), AbbeImaging
+        )
         if self.split:
             self._init_split()
             return
         loss = objective.loss(self._tj, self._tm)
         self.loss_value = float(loss.data)
-        create = hvp_mode == "exact"
-        gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=create)
-        self._gj_graph = gj if create else None
+        gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=True)
+        self._gj_graph = gj
         self.grad_j = gj.data.copy()
         self.grad_m = gm.data.copy()
 
@@ -163,23 +151,9 @@ class HypergradientContext:
         objective.check_theta_m(self._tm)
         cfg = objective.config
         engine = objective.engine
-        conditions = objective.conditions
-        self._stacks = engine.condition_stacks(conditions)
-        # 1. one fused first-order forward (the source is a constant
-        #    here, so the streamed backward skips the weight gradient).
-        source = source_from_theta(ad.Tensor(self._tj.data), cfg)
+        self._stacks = engine.condition_stacks(objective.conditions)
         self._mask = mask_from_theta(self._tm, cfg)
-        stack = engine.aerial_conditions(self._mask, source, conditions)
-        # 2. the post-aerial loss on a leaf copy of the stack: an
-        #    FFT-free create-graph graph giving g_A and H_l-products.
-        self._a = ad.Tensor(stack.data, requires_grad=True)
-        loss = objective.loss_from_aerial(self._a)
-        self.loss_value = float(loss.data)
-        (self._ga,) = ad.grad(loss, [self._a], create_graph=True)
-        # 3. grad_m from one streamed backward with upstream g_A.
-        (gm,) = ad.grad(stack, [self._tm], grad_output=ad.Tensor(self._ga.data))
-        self.grad_m = gm.data.copy()
-        # 4. the per-condition intensity bases at this theta_M.
+        # 1. the per-condition intensity bases at this theta_M.
         bases = getattr(self._so_loss_fn, "bases", None)
         if bases is None:
             bases = tuple(
@@ -187,12 +161,21 @@ class HypergradientContext:
                 for st, _ in self._stacks
             )
         self._bases = bases
-        # 5. the source chain: jt_v = J^T v at v = X^T g_A is grad_j, and
-        #    differentiating <jt_v, p> gives hess(phi) p (w.r.t. theta_J)
-        #    and J p (w.r.t. v) in one backward.
+        # 2. the source chain jn(theta_J), and the aerial stack X jn as a
+        #    leaf through the post-aerial loss: an FFT-free create-graph
+        #    graph giving g_A and H_l-products.
         self._jn = engine.normalized_source_weights(
             source_from_theta(self._tj, cfg)
         )
+        self._a = ad.Tensor(self._basis_apply(self._jn.data), requires_grad=True)
+        loss = objective.loss_from_aerial(self._a)
+        self.loss_value = float(loss.data)
+        (self._ga,) = ad.grad(loss, [self._a], create_graph=True)
+        # 3. grad_m from one streamed mask VJP with upstream g_A.
+        self.grad_m = self._mask_vjp([(self._jn.data, self._ga.data)])
+        # 4. jt_v = J^T v at v = X^T g_A is grad_j, and differentiating
+        #    <jt_v, p> gives hess(phi) p (w.r.t. theta_J) and J p (w.r.t.
+        #    v) in one backward.
         self._v = ad.Tensor(self._basis_adjoint(self._ga.data), requires_grad=True)
         (self._jt_v,) = ad.grad(
             self._jn, [self._tj], grad_output=self._v, create_graph=True
@@ -200,11 +183,10 @@ class HypergradientContext:
         self.grad_j = self._jt_v.data.copy()
 
     def at(self, theta_j: np.ndarray) -> "HypergradientContext":
-        """This context's oracles at another theta_J (same theta_M,
-        mode and source-only closure, so the bases are shared)."""
+        """This context's oracles at another theta_J (same theta_M and
+        source-only closure, so the bases are shared)."""
         return HypergradientContext(
-            self.objective, theta_j, self._tm.data, self.hvp_mode,
-            self.fd_eps, self._so_loss_fn,
+            self.objective, theta_j, self._tm.data, self._so_loss_fn
         )
 
     # -- split-path building blocks --------------------------------------
@@ -213,7 +195,7 @@ class HypergradientContext:
         planes = [
             u @ x.reshape(x.shape[0], x.shape[1], -1) for x in self._bases
         ]
-        return np.stack(planes).reshape(self._a.shape)
+        return np.stack(planes).reshape((len(self._bases),) + self._tm.shape)
 
     def _basis_adjoint(self, h: np.ndarray) -> np.ndarray:
         """``X^T h`` for an aerial-stack-shaped ``h``: ``(S,)``."""
@@ -238,10 +220,23 @@ class HypergradientContext:
         inner = F.dot(self._jt_v, ad.Tensor(p))
         return [g.data for g in ad.grad(inner, wrt)]
 
+    def _mask_vjp(self, terms: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """``d/d theta_M`` of ``sum_k <g_k, image(weights=w_k)>`` for
+        ``terms = [(w_k, g_k), ...]``: one streamed mask VJP, then the
+        mask chain."""
+        g_mask = F.incoherent_stack_mask_vjp(
+            self._mask.data,
+            [st for st, _ in self._stacks],
+            terms,
+            conj_pairs=[pairs for _, pairs in self._stacks],
+        )
+        (m,) = ad.grad(self._mask, [self._tm], grad_output=ad.Tensor(g_mask))
+        return m.data
+
     # -- second-order oracles -------------------------------------------
     def hvp(self, p: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_J^2) @ p."""
-        with obs_span("solver.hvp", mode=self.hvp_mode, split=self.split):
+        with obs_span("solver.hvp", split=self.split):
             if self.split:
                 h_phi, jp = self._source_products(p, [self._tj, self._v])
                 h_a = self._loss_hvp(self._basis_apply(jp))
@@ -251,64 +246,20 @@ class HypergradientContext:
                     grad_output=ad.Tensor(self._basis_adjoint(h_a)),
                 )
                 return h_phi + h_src.data
-            if self.hvp_mode == "exact":
-                inner = F.dot(self._gj_graph, ad.Tensor(p))
-                (h,) = ad.grad(inner, [self._tj], allow_unused=True)
-                return np.zeros_like(p) if h is None else h.data
-            return self._fd_second_order(p, wrt="j")
+            inner = F.dot(self._gj_graph, ad.Tensor(p))
+            (h,) = ad.grad(inner, [self._tj], allow_unused=True)
+            return np.zeros_like(p) if h is None else h.data
 
     def mixed_vjp(self, w: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_M d theta_J) @ w — gradient-fusion term."""
-        with obs_span("solver.mixed", mode=self.hvp_mode, split=self.split):
+        with obs_span("solver.mixed", split=self.split):
             if self.split:
                 (u,) = self._source_products(w, [self._v])
                 h_a = self._loss_hvp(self._basis_apply(u))
-                g_mask = F.incoherent_stack_mask_vjp(
-                    self._mask.data,
-                    [st for st, _ in self._stacks],
-                    [(self._jn.data, h_a), (u, self._ga.data)],
-                    conj_pairs=[pairs for _, pairs in self._stacks],
-                )
-                (m,) = ad.grad(
-                    self._mask, [self._tm], grad_output=ad.Tensor(g_mask)
-                )
-                return m.data
-            if self.hvp_mode == "exact":
-                inner = F.dot(self._gj_graph, ad.Tensor(w))
-                (m,) = ad.grad(inner, [self._tm], allow_unused=True)
-                return np.zeros_like(self._tm.data) if m is None else m.data
-            return self._fd_second_order(w, wrt="m")
-
-    def _fd_second_order(self, vec: np.ndarray, wrt: str) -> np.ndarray:
-        """Central difference of the relevant first-order gradient while
-        perturbing theta_J along ``vec`` (:func:`repro.autodiff.hvp_fd` /
-        :func:`repro.autodiff.mixed_jvp_fd`, DARTS-style step scaling)."""
-        if float(np.linalg.norm(vec.ravel())) == 0.0:
-            # mixed_jvp_fd rejects a zero direction; the product is zero.
-            return np.zeros_like(vec if wrt == "j" else self._tm.data)
-        # theta_M is fixed along this perturbation: the FFT-free
-        # source-only graph gives the same theta_J gradient, cheaper.
-        so_loss = self._so_loss_fn if wrt == "j" else None
-
-        def grad_fn(t: ad.Tensor) -> ad.Tensor:
-            tj = ad.Tensor(t.data, requires_grad=True)
-            if so_loss is not None:
-                return ad.grad(so_loss(tj), [tj])[0]
-            tm = ad.Tensor(self._tm.data, requires_grad=True)
-            target = tj if wrt == "j" else tm
-            return ad.grad(self.objective.loss(tj, tm), [target])[0]
-
-        fd = ad.hvp_fd if wrt == "j" else ad.mixed_jvp_fd
-        return fd(grad_fn, self._tj, ad.Tensor(vec), eps=self.fd_eps).data
-
-
-def _splits_at_aerial(objective) -> bool:
-    """Does ``objective`` split at the aerial stack over an Abbe engine
-    (the matrix-free oracle path)?  The path needs Abbe's linear-in-
-    ``jn`` intensity bases and its source normalization."""
-    return hasattr(objective, "loss_from_aerial") and isinstance(
-        getattr(objective, "engine", None), AbbeImaging
-    )
+                return self._mask_vjp([(self._jn.data, h_a), (u, self._ga.data)])
+            inner = F.dot(self._gj_graph, ad.Tensor(w))
+            (m,) = ad.grad(inner, [self._tm], allow_unused=True)
+            return np.zeros_like(self._tm.data) if m is None else m.data
 
 
 def inner_iterates(
@@ -381,8 +332,10 @@ class BiSMO:
         ``"unroll"`` method differentiates through plain SGD inner
         updates, so it accepts ``inner_optimizer="sgd"`` only.
     hvp_mode:
-        ``"exact"`` (exact second-order oracles; see
-        :class:`HypergradientContext`) or ``"fd"`` (finite differences).
+        ``"exact"``, the only mode: every method takes its second-order
+        products from the exact oracles of
+        :class:`HypergradientContext`.  Kept as a keyword for existing
+        callers; any other value raises ``ValueError``.
     damping:
         Tikhonov damping added to the inner Hessian in the CG solve.
     objective:
@@ -431,8 +384,10 @@ class BiSMO:
             # nmn's safeguard draws a power-iteration start vector; key
             # it on the solver's seed (routed via repro.utils.seed).
             self._hyper_fn = partial(self._hyper_fn, seed=self.seed)
-        if hvp_mode not in HVP_MODES:
-            raise ValueError(f"unknown hvp_mode {hvp_mode!r}; choose {HVP_MODES}")
+        if hvp_mode != "exact":
+            raise ValueError(
+                f"unknown hvp_mode {hvp_mode!r}; the only mode is 'exact'"
+            )
         if self.method == "unroll" and inner_optimizer.lower() != "sgd":
             raise ValueError(
                 "BiSMO-UNROLL differentiates through plain SGD inner "
@@ -447,7 +402,6 @@ class BiSMO:
         self.outer_lr = outer_lr
         self.inner_optimizer = inner_optimizer
         self.outer_optimizer = outer_optimizer
-        self.hvp_mode = hvp_mode
         self.damping = damping
         self.method_name = f"BiSMO-{self.method.upper()}"
 
@@ -490,17 +444,12 @@ class BiSMO:
                 theta_j = iterates[-1]
                 # ---- Alg. 2 lines 5-12: hypergradient -----------------
                 ctx = HypergradientContext(
-                    self.objective,
-                    theta_j,
-                    theta_m,
-                    hvp_mode=self.hvp_mode,
-                    so_loss_fn=so_loss,
+                    self.objective, theta_j, theta_m, so_loss_fn=so_loss
                 )
                 # Capture per-tile losses and the corner matrix now: they
-                # belong to ctx's loss evaluation, and FD-mode products
-                # and the unrolled sweep's contexts re-evaluate the
-                # objective at other points below (clobbering the
-                # stashed diagnostics).
+                # belong to ctx's loss evaluation, and the unrolled
+                # sweep's contexts re-evaluate the objective at other
+                # points below (clobbering the stashed diagnostics).
                 tile_losses = getattr(self.objective, "last_tile_losses", None)
                 corner_matrix = getattr(
                     self.objective, "last_corner_losses", None

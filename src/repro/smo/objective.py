@@ -57,6 +57,7 @@ from ..optics import (
     SourceGrid,
     engine_for,
 )
+from ..optics.engine import stack_conditions
 from .parametrization import mask_from_theta, source_from_theta
 
 __all__ = [
@@ -438,13 +439,13 @@ def adaptive_corner_update(
     with ``robust="adaptive"``) and EG-updates it from a ``(C, B)``
     corner-loss matrix summed over tiles.  ``matrix`` defaults to the
     objective's stashed ``last_corner_losses``; solvers whose iteration
-    re-evaluates the objective at *perturbed* points after the iterate's
-    own evaluation (BiSMO's FD hypergradient oracles) must capture the
-    matrix at the iterate and pass it explicitly, or the ascent would
-    run on perturbed losses.  Returns a copy of the current weights for
-    the iteration record, or ``None`` when the objective is not
-    adaptive — solvers call this unconditionally once per outer
-    iteration.
+    re-evaluates the objective at *other* points after the iterate's
+    own evaluation (BiSMO-UNROLL's contexts at the earlier inner
+    iterates) must capture the matrix at the iterate and pass it
+    explicitly, or the ascent would run on the wrong losses.  Returns a
+    copy of the current weights for the iteration record, or ``None``
+    when the objective is not adaptive — solvers call this
+    unconditionally once per outer iteration.
     """
     adaptive = getattr(objective, "adaptive_weights", None)
     if adaptive is None:
@@ -651,11 +652,13 @@ class ProcessWindowSMOObjective:
 
         Abbe's aerial is linear in the normalized source weights at
         *every* pupil condition, so at fixed masks one intensity basis
-        per distinct condition makes the whole robust loss an FFT-free
-        function of ``theta_J``, exactly equal to ``loss(theta_j,
-        theta_m)`` — the cheap inner-SO / inner-Hessian oracle BiSMO
-        uses.  Adaptive corner weights are read at *call* time, so the
-        closure tracks the minimax ascent across outer iterations.  Returns ``None`` for custom engines that do not
+        per distinct condition makes the aerial stack an FFT-free
+        function of ``theta_J``.  The closure is :meth:`loss_from_aerial`
+        of that stack (stashing the corner matrix like :meth:`loss`),
+        exactly equal to ``loss(theta_j, theta_m)`` — the cheap inner-SO
+        oracle BiSMO uses.  Adaptive corner weights are read at *call*
+        time, so the closure tracks the minimax ascent across outer
+        iterations.  Returns ``None`` for custom engines that do not
         expose an intensity basis.
         """
         engine = self.engine
@@ -674,19 +677,11 @@ class ProcessWindowSMOObjective:
 
         def loss_j(theta_j: ad.Tensor) -> ad.Tensor:
             source = source_from_theta(theta_j, self.config)
-            aerials = [
-                engine.aerial_from_basis(basis, source) for basis in bases
-            ]
-            losses, matrix = _corner_loss_terms(
-                aerials, self.target, self.window, self.config
+            return self.loss_from_aerial(
+                stack_conditions(
+                    [engine.aerial_from_basis(basis, source) for basis in bases]
+                )
             )
-            total = robust_corner_loss(
-                losses, self.window, self.robust, self.tau,
-                weights=self._robust_weights(),
-            )
-            if self.reduction == "mean":
-                total = F.div(total, float(self.num_tiles))
-            return total
 
         #: One basis per entry of :attr:`conditions`, reused by BiSMO's
         #: second-order oracles at the same ``theta_M``.

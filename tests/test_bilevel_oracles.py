@@ -199,12 +199,26 @@ class TestSplitMatchesDoubleBackward:
             with pytest.raises(ValueError, match="theta_m must be shaped"):
                 objective.loss(ad.Tensor(theta_j), ad.Tensor(bad))
 
-    def test_fd_mode_keeps_generic_path(self, cfg, point):
-        targets, theta_j, theta_m = point
-        ctx = HypergradientContext(
-            BatchedSMOObjective(cfg, targets), theta_j, theta_m, hvp_mode="fd"
-        )
-        assert not ctx.split
+
+def test_split_oracles_never_run_the_imaging_forward(cfg, point, monkeypatch):
+    """The split context images only through the intensity bases and
+    streamed mask VJPs: the fused forward is never called."""
+    targets, theta_j, theta_m = point
+    objective = ProcessWindowSMOObjective(
+        cfg, targets, ProcessWindow.from_grid((0.98, 1.02), (0.0, 40.0))
+    )
+    assert len(objective.conditions) == 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split oracles ran the imaging forward")
+
+    monkeypatch.setattr(F, "incoherent_image_stack", forbidden)
+    monkeypatch.setattr(F, "incoherent_image", forbidden)
+    ctx = HypergradientContext(objective, theta_j, theta_m)
+    assert ctx.split
+    rng = np.random.default_rng(6)
+    assert np.all(np.isfinite(ctx.hvp(rng.standard_normal(theta_j.shape))))
+    assert np.all(np.isfinite(ctx.mixed_vjp(rng.standard_normal(theta_j.shape))))
 
 
 def _taped_unroll(objective, theta_j, theta_m, steps, inner_lr, direct=True):

@@ -1,6 +1,11 @@
 """Tests for the Abbe and Hopkins imaging engines: physical sanity,
 cross-model agreement, and differentiability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,8 @@ from repro.optics import (
     shifted_pupil_stack,
     socs_kernels,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +215,36 @@ class TestHopkins:
         vals_l, _, _ = socs_kernels(cfg, src, num_kernels=5)
         vals_d, _, _ = socs_kernels(cfg, src, num_kernels=p)
         np.testing.assert_allclose(vals_l, vals_d[:5], atol=1e-9)
+
+    def test_socs_is_reproducible_across_processes(self, cfg, src):
+        """The Lanczos solve starts from a seeded vector and every
+        eigenvector's largest-magnitude entry is positive, so two fresh
+        processes build bitwise-equal SOCS weights and kernels."""
+        script = (
+            "import hashlib\n"
+            "from repro.optics import OpticalConfig, SourceGrid, annular, socs_kernels\n"
+            "cfg = OpticalConfig.preset('tiny')\n"
+            "src = annular(SourceGrid.from_config(cfg), cfg.sigma_out, cfg.sigma_in)\n"
+            "w, k, _ = socs_kernels(cfg, src, num_kernels=8)\n"
+            "print(hashlib.sha256(w.tobytes() + k.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout.strip()
+            for _ in range(2)
+        ]
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+        _, kernels, _ = socs_kernels(cfg, src, num_kernels=8)
+        flat = kernels.reshape(len(kernels), -1)
+        peaks = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+        assert np.all(peaks > 0)
 
 
 class TestResist:

@@ -437,16 +437,25 @@ class TestBilevelThroughConditions:
         for BiSMO hypergradients through the condition axis)."""
         cfg, targets, _, theta_j, theta_m, window = pw_setup
         pwo = ProcessWindowSMOObjective(cfg, targets, window)
-        exact = HypergradientContext(pwo, theta_j, theta_m, hvp_mode="exact")
-        fd = HypergradientContext(
-            pwo, theta_j, theta_m, hvp_mode="fd", fd_eps=1e-3
-        )
+        exact = HypergradientContext(pwo, theta_j, theta_m)
+
+        def grad_at(wrt):
+            def fn(t):
+                tj = ad.Tensor(t.data, requires_grad=True)
+                tm = ad.Tensor(theta_m, requires_grad=True)
+                return ad.grad(pwo.loss(tj, tm), [tj if wrt == "j" else tm])[0]
+
+            return fn
+
         rng = np.random.default_rng(0)
         v = rng.standard_normal(theta_j.shape)
-        hv_exact, hv_fd = exact.hvp(v), fd.hvp(v)
+        tj, tv = ad.Tensor(theta_j), ad.Tensor(v)
+        hv_exact = exact.hvp(v)
+        hv_fd = ad.hvp_fd(grad_at("j"), tj, tv, eps=1e-3).data
         scale = max(np.abs(hv_exact).max(), 1e-12)
         assert np.abs(hv_exact - hv_fd).max() / scale < 1e-4
-        mv_exact, mv_fd = exact.mixed_vjp(v), fd.mixed_vjp(v)
+        mv_exact = exact.mixed_vjp(v)
+        mv_fd = ad.mixed_jvp_fd(grad_at("m"), tj, tv, eps=1e-3).data
         scale = max(np.abs(mv_exact).max(), 1e-12)
         assert np.abs(mv_exact - mv_fd).max() / scale < 1e-4
 

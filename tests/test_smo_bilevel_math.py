@@ -88,16 +88,26 @@ class TestContext:
         np.testing.assert_allclose(ctx.mixed_vjp(w), toy.b.T @ w, atol=1e-10)
 
     def test_fd_mode_matches_exact(self, toy, point):
+        """The exact products match central differences of the first
+        gradients (:func:`repro.autodiff.hvp_fd` / ``mixed_jvp_fd``)."""
         j, m = point
-        exact = HypergradientContext(toy, j, m, hvp_mode="exact")
-        fd = HypergradientContext(toy, j, m, hvp_mode="fd", fd_eps=1e-4)
+        exact = HypergradientContext(toy, j, m)
         v = np.random.default_rng(2).standard_normal(toy.n)
-        np.testing.assert_allclose(fd.hvp(v), exact.hvp(v), atol=1e-5)
-        np.testing.assert_allclose(fd.mixed_vjp(v), exact.mixed_vjp(v), atol=1e-5)
 
-    def test_invalid_mode(self, toy, point):
-        with pytest.raises(ValueError):
-            HypergradientContext(toy, point[0], point[1], hvp_mode="nope")
+        def grad_at(wrt):
+            def fn(t):
+                tj = ad.Tensor(t.data, requires_grad=True)
+                tm = ad.Tensor(m, requires_grad=True)
+                return ad.grad(toy.loss(tj, tm), [tj if wrt == "j" else tm])[0]
+
+            return fn
+
+        fd_hvp = ad.hvp_fd(grad_at("j"), ad.Tensor(j), ad.Tensor(v), eps=1e-4)
+        fd_mixed = ad.mixed_jvp_fd(
+            grad_at("m"), ad.Tensor(j), ad.Tensor(v), eps=1e-4
+        )
+        np.testing.assert_allclose(fd_hvp.data, exact.hvp(v), atol=1e-5)
+        np.testing.assert_allclose(fd_mixed.data, exact.mixed_vjp(v), atol=1e-5)
 
     def test_loss_value_recorded(self, toy, point):
         ctx = HypergradientContext(toy, point[0], point[1])

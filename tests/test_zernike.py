@@ -545,12 +545,13 @@ class TestAdaptiveCornerWeights:
         args = parser.parse_args(["pwindow", "--pw-aberrations", "Z5=20,Z7=-10"])
         assert args.pw_aberrations == [{"Z5": 20.0, "Z7": -10.0}]
 
-    def test_bismo_fd_mode_ascends_on_iterate_losses(
+    def test_bismo_unroll_ascends_on_iterate_losses(
         self, tiny_config, tiny_source
     ):
-        """FD-mode hypergradients re-evaluate the objective at perturbed
-        points; the EG ascent must still use the corner losses of the
-        iterate's own evaluation (captured before the FD probes)."""
+        """BiSMO-UNROLL's reverse sweep re-evaluates the objective at the
+        earlier inner iterates; the EG ascent must still use the corner
+        losses of the iterate's own evaluation (captured before the
+        sweep)."""
         from repro.smo import BiSMO
 
         cfg = tiny_config
@@ -561,10 +562,9 @@ class TestAdaptiveCornerWeights:
         solver = BiSMO(
             cfg,
             target,
-            method="nmn",
-            unroll_steps=1,
-            terms=2,
-            hvp_mode="fd",
+            method="unroll",
+            unroll_steps=2,
+            inner_lr=5.0,
             process_window=window,
             robust="adaptive",
         )
@@ -576,12 +576,17 @@ class TestAdaptiveCornerWeights:
             return orig_update(losses)
 
         adaptive.update = spy
-        result = solver.run(tiny_source, iterations=2)
+        # From a flat theta_J the inner steps move the loss; at the
+        # saturated default source they barely do.
+        result = solver.run(
+            tiny_source, iterations=2, theta_j0=np.zeros(tiny_source.shape)
+        )
         assert len(seen) == 2
         assert result.final_corner_weights is not None
         # Each ascent input must be the corner split of the iterate's
         # own recorded loss under the weights live at that evaluation —
-        # an FD-perturbed matrix would break this identity.
+        # a matrix from an earlier inner iterate would break this
+        # identity.
         for (weights, losses), rec in zip(seen, result.history):
             np.testing.assert_allclose(weights @ losses, rec.loss, rtol=1e-9)
 
