@@ -15,12 +15,11 @@ run.
 Backends
 --------
 ``numpy`` (default)
-    Delegates every transform to :mod:`repro.optics.fftlib`, so the
-    scipy/numpy FFT choice, worker counts and the compute-precision
-    policy keep applying unchanged.  ``from_host``/``to_host`` are
-    identity views: routing the numpy path through the seam executes
-    the exact same numpy calls in the same order as before the seam
-    existed (bitwise-identical results).
+    Delegates every transform to :mod:`repro.optics.fftlib` (scipy's
+    pocketfft under the fftlib thread policy).  ``from_host``/``to_host``
+    are identity views, so routing the numpy path through the seam
+    executes the same host calls in the same order as calling them
+    directly (bitwise-identical results).
 
 ``torch``
     Optional; CPU now, CUDA when :func:`torch.cuda.is_available`.
@@ -39,8 +38,8 @@ Backends
     prove the BiSMO hot path performs zero out-of-seam array ops and
     that conjugate-pair FFT halving has not regressed.
 
-Selection is per-run via ``REPRO_BACKEND=numpy|torch|strict`` (read
-once at import; this module is a registered raw env reader) or scoped
+The array backend is the only choice of FFT library.  Selection is
+per-run via ``REPRO_BACKEND=numpy|torch|strict`` (read once at import; this module is a registered raw env reader) or scoped
 with the :func:`use_backend` context manager.  ``HOST`` is the numpy
 backend singleton, importable by hot-path modules for declared
 host-side allocations (graph leaves, gradient accumulators, output
@@ -95,9 +94,8 @@ class ArrayBackend:
     """Allocation, elementwise ops, reductions, FFTs and transfer.
 
     Subclasses implement the device-side methods; the base class owns
-    the *host* policies every backend shares: graph storage coercion
-    (``float64``/``complex128`` numpy arrays) and the host-prep dtype
-    pair from the fftlib precision policy.
+    the *host* policy every backend shares: graph storage coercion
+    (``float64``/``complex128`` numpy arrays).
     """
 
     name: str = "base"
@@ -131,10 +129,6 @@ class ArrayBackend:
         elif arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         return arr
-
-    def compute_dtypes(self) -> Tuple[np.dtype, np.dtype]:
-        """Host-prep (float, complex) dtype pair per the fftlib policy."""
-        return fftlib.compute_dtypes()
 
     # -- dtype handles (backend-native) --------------------------------
     @property
@@ -208,7 +202,8 @@ class ArrayBackend:
 # numpy (default) — delegates transforms to fftlib, transfer is identity
 # ----------------------------------------------------------------------
 class NumpyBackend(ArrayBackend):
-    """Default host backend; the pre-seam numpy semantics, verbatim."""
+    """Default host backend: numpy arrays, transforms through
+    :mod:`repro.optics.fftlib` (scipy pocketfft)."""
 
     name = "numpy"
 

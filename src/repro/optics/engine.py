@@ -206,12 +206,10 @@ def incoherent_sum_fast(
     intermediate.
 
     All array ops route through the active
-    :mod:`repro.optics.backend` seam; the default numpy backend
-    dispatches transforms through :mod:`repro.optics.fftlib` (backend
-    and worker count are env/config-controlled), and this inference-only
-    path honors the fftlib compute-precision policy: under
-    ``fftlib.set_precision("single")`` the transforms run in
-    complex64 (scipy backend) and the result is cast back to float64.
+    :mod:`repro.optics.backend` seam (the default numpy backend
+    dispatches transforms through :mod:`repro.optics.fftlib`).  Inputs
+    are coerced to float64, or complex128 when complex, before the
+    transforms.
     """
     bk = abk.active_backend()
     active = np.nonzero(weights)[0]
@@ -222,12 +220,13 @@ def incoherent_sum_fast(
     if active.size == 0:
         out.fill(0.0)
         return out
-    ftype, ctype = bk.compute_dtypes()
-    tiles = tiles.astype(ctype if np.iscomplexobj(tiles) else ftype, copy=False)
-    kernel_stack = kernel_stack.astype(
-        ctype if np.iscomplexobj(kernel_stack) else ftype, copy=False
+    tiles = tiles.astype(
+        np.complex128 if np.iscomplexobj(tiles) else np.float64, copy=False
     )
-    weights = weights.astype(ftype, copy=False)
+    kernel_stack = kernel_stack.astype(
+        np.complex128 if np.iscomplexobj(kernel_stack) else np.float64, copy=False
+    )
+    weights = weights.astype(np.float64, copy=False)
     flat = weights.size
     n2 = tiles.shape[-2] * tiles.shape[-1]
     kernels = bk.from_host(kernel_stack)

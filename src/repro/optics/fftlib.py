@@ -1,30 +1,19 @@
-"""Unified FFT dispatch for every transform in the codebase.
+"""FFT dispatch and the thread policy of every host transform.
 
-Before this module existed the differentiable ops in
-:mod:`repro.autodiff.functional` went through single-threaded
-``np.fft`` while the inference fast path used a module-local scipy
-import — two backends, one of them pinned to the slowest option on the
-hottest path.  ``fftlib`` centralizes the choice:
+Every host-side transform in the codebase — the differentiable ops in
+:mod:`repro.autodiff.functional`, the graph-free fast paths and the
+frequency grids — reaches scipy's pocketfft (``scipy.fft``) through this
+module, by way of the numpy array backend
+(:class:`repro.optics.backend.NumpyBackend`).  The array backend
+(``REPRO_BACKEND``) is the only choice of FFT library; this module owns
+the thread and chunk policy:
 
-* **Backend** — scipy's pocketfft (``scipy.fft``) when importable,
-  ``np.fft`` otherwise.  Override with ``REPRO_FFT_BACKEND`` in
-  ``{"auto", "scipy", "numpy"}`` or :func:`set_backend`.  Requesting
-  scipy without scipy installed falls back to numpy (documented,
-  silent: the results are identical, only speed differs).
-* **Workers** — pocketfft releases the GIL and threads across the
-  batch of independent 2-D transforms; ``REPRO_FFT_WORKERS`` /
-  :func:`set_workers` control the thread count (``0`` = one worker per
-  CPU).  Per-transform results carry no cross-thread reductions, so
-  multi-worker output is bitwise identical to serial output — the
-  parallel-harness determinism guarantees survive.
-* **Precision** — an opt-in float32/complex64 compute policy for
-  *inference* paths (``REPRO_FFT_PRECISION`` in ``{"double",
-  "single"}`` / :func:`set_precision`).  Only consumers that
-  explicitly ask via :func:`compute_dtypes` (the graph-free
-  ``incoherent_sum_fast``) honor it; differentiable ops always run in
-  double so gradients and parity tests are unaffected.  With the numpy
-  backend single precision is best-effort (``np.fft`` computes in
-  double internally).
+* **FFT threads** — pocketfft releases the GIL and threads across the
+  batch of independent 2-D transforms, one worker per CPU capped by the
+  worker budget (:func:`effective_workers`).  Per-transform results
+  carry no cross-thread reductions, so multi-worker output is bitwise
+  identical to serial output — the parallel-harness determinism
+  guarantees survive.
 * **Streaming chunk** — the source-axis chunk size used by the fused
   :func:`repro.autodiff.functional.incoherent_image_stack` primitive
   (``REPRO_FFT_CHUNK`` / :func:`set_stream_chunk`).
@@ -38,11 +27,12 @@ hottest path.  ``fftlib`` centralizes the choice:
 * **Unified worker budget** — one cap coordinating the three parallelism
   layers (harness worker *processes* x condition *threads* x per-FFT
   pocketfft threads): within a process, ``condition_workers x per-FFT
-  workers <= effective_budget()``.  :func:`map_conditions` hands every
-  pool thread its share of the budget through a thread-local override,
-  and ``run_matrix(workers=N)`` gives each worker process
-  ``cpu // N`` of the machine via :func:`set_worker_budget`, so sweeps
-  never oversubscribe the cores however the layers compose.
+  workers <= effective_budget()`` (``REPRO_WORKER_BUDGET`` /
+  :func:`set_worker_budget`).  :func:`map_conditions` hands every pool
+  thread its share of the budget through a thread-local override, and
+  ``run_matrix(workers=N)`` gives each worker process ``cpu // N`` of
+  the machine via :func:`set_worker_budget`, so sweeps never
+  oversubscribe the cores however the layers compose.
 
 This module deliberately imports nothing from :mod:`repro` so the
 autodiff layer can depend on it without import cycles.
@@ -58,21 +48,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, cast
 
 import numpy as np
-
-try:  # scipy's pocketfft: multi-threaded, in-place capable
-    import scipy.fft as _scipy_fft
-except ImportError:  # pragma: no cover - scipy is a baseline dependency
-    _scipy_fft = None
+import scipy.fft as _scipy_fft
 
 __all__ = [
     "fft2",
     "ifft2",
     "fftfreq",
-    "get_backend",
-    "set_backend",
-    "available_backends",
-    "get_workers",
-    "set_workers",
     "effective_workers",
     "get_condition_workers",
     "set_condition_workers",
@@ -81,9 +62,6 @@ __all__ = [
     "set_worker_budget",
     "effective_budget",
     "map_conditions",
-    "get_precision",
-    "set_precision",
-    "compute_dtypes",
     "get_stream_chunk",
     "set_stream_chunk",
     "run_with_chunk_fallback",
@@ -91,28 +69,15 @@ __all__ = [
     "describe",
 ]
 
-_BACKENDS = ("scipy", "numpy")
-_PRECISIONS = ("double", "single")
-
-
-def _env_backend() -> str:
-    name = os.environ.get("REPRO_FFT_BACKEND", "auto").strip().lower()
-    if name in ("auto", ""):
-        return "scipy" if _scipy_fft is not None else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_FFT_BACKEND={name!r}; choose from {('auto',) + _BACKENDS}"
-        )
-    if name == "scipy" and _scipy_fft is None:
-        return "numpy"
-    return name
-
 
 def _env_int(var: str, default: int, minimum: int) -> int:
     raw = os.environ.get(var, "").strip()
     if not raw:
         return default
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{var} must be an integer; got {raw!r}") from None
     if value < minimum:
         raise ValueError(f"{var} must be >= {minimum}; got {value}")
     return value
@@ -120,57 +85,17 @@ def _env_int(var: str, default: int, minimum: int) -> int:
 
 #: Mutable module state (one process-wide policy, like the optics cache).
 _STATE: Dict[str, Any] = {
-    "backend": _env_backend(),
-    "workers": _env_int("REPRO_FFT_WORKERS", 0, 0),  # 0 = one per CPU
-    "precision": os.environ.get("REPRO_FFT_PRECISION", "double").strip().lower()
-    or "double",
     "chunk": _env_int("REPRO_FFT_CHUNK", 16, 1),
     # Condition-axis thread fan-out (0 = fill the worker budget) and the
     # unified per-process thread budget (0 = one per CPU).
     "cond_workers": _env_int("REPRO_COND_WORKERS", 0, 0),
     "budget": _env_int("REPRO_WORKER_BUDGET", 0, 0),
 }
-if _STATE["precision"] not in _PRECISIONS:
-    raise ValueError(
-        f"REPRO_FFT_PRECISION={_STATE['precision']!r}; choose from {_PRECISIONS}"
-    )
 
 
 # ----------------------------------------------------------------------
 # policy accessors
 # ----------------------------------------------------------------------
-def available_backends() -> Tuple[str, ...]:
-    """Backends importable in this environment."""
-    return _BACKENDS if _scipy_fft is not None else ("numpy",)
-
-
-def get_backend() -> str:
-    return str(_STATE["backend"])
-
-
-def set_backend(name: str) -> None:
-    """Select ``"scipy"`` or ``"numpy"`` (``"auto"`` re-resolves)."""
-    name = name.strip().lower()
-    if name == "auto":
-        name = "scipy" if _scipy_fft is not None else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown FFT backend {name!r}; choose from {_BACKENDS}")
-    if name == "scipy" and _scipy_fft is None:
-        raise ValueError("scipy backend requested but scipy is not installed")
-    _STATE["backend"] = name
-
-
-def get_workers() -> int:
-    """Configured worker count (``0`` means one per CPU)."""
-    return int(_STATE["workers"])
-
-
-def set_workers(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"workers must be >= 0 (0 = auto); got {n}")
-    _STATE["workers"] = int(n)
-
-
 _CPU_COUNT = os.cpu_count() or 1
 
 #: Thread-local overrides: :func:`map_conditions` hands each pool thread
@@ -183,16 +108,13 @@ def effective_workers() -> int:
     """The worker count actually handed to pocketfft (always >= 1).
 
     Inside a condition-pool thread this returns that thread's share of
-    the unified budget (set by :func:`map_conditions`); otherwise the
-    configured count, capped by :func:`effective_budget`.
+    the unified budget (set by :func:`map_conditions`); otherwise one
+    worker per CPU, capped by :func:`effective_budget`.
     """
     override = getattr(_TLS, "fft_workers", None)
     if override is not None:
         return max(1, int(override))
-    n = int(_STATE["workers"])
-    if n == 0:
-        n = _CPU_COUNT
-    return max(1, min(n, effective_budget()))
+    return max(1, min(_CPU_COUNT, effective_budget()))
 
 
 def get_worker_budget() -> int:
@@ -251,27 +173,6 @@ def effective_condition_workers(num_tasks: Optional[int] = None) -> int:
     return n
 
 
-def get_precision() -> str:
-    return str(_STATE["precision"])
-
-
-def set_precision(precision: str) -> None:
-    """``"double"`` (default) or ``"single"`` — inference paths only."""
-    precision = precision.strip().lower()
-    if precision not in _PRECISIONS:
-        raise ValueError(
-            f"unknown precision {precision!r}; choose from {_PRECISIONS}"
-        )
-    _STATE["precision"] = precision
-
-
-def compute_dtypes() -> Tuple[np.dtype, np.dtype]:
-    """``(float_dtype, complex_dtype)`` of the inference compute policy."""
-    if _STATE["precision"] == "single":
-        return np.dtype(np.float32), np.dtype(np.complex64)
-    return np.dtype(np.float64), np.dtype(np.complex128)
-
-
 def get_stream_chunk() -> int:
     """Source-axis chunk size for the streamed fused primitive."""
     return int(_STATE["chunk"])
@@ -311,9 +212,6 @@ def run_with_chunk_fallback(fn: Callable[[int], Any], csize: int) -> Any:
 
 @contextlib.contextmanager
 def use(
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    precision: Optional[str] = None,
     chunk: Optional[int] = None,
     condition_workers: Optional[int] = None,
     budget: Optional[int] = None,
@@ -321,12 +219,6 @@ def use(
     """Temporarily override any subset of the dispatch policy."""
     saved = dict(_STATE)
     try:
-        if backend is not None:
-            set_backend(backend)
-        if workers is not None:
-            set_workers(workers)
-        if precision is not None:
-            set_precision(precision)
         if chunk is not None:
             set_stream_chunk(chunk)
         if condition_workers is not None:
@@ -341,10 +233,7 @@ def use(
 def describe() -> Dict[str, Any]:
     """Snapshot of the live policy (for bench metadata / debugging)."""
     return {
-        "backend": get_backend(),
-        "workers": get_workers(),
         "effective_workers": effective_workers(),
-        "precision": get_precision(),
         "stream_chunk": get_stream_chunk(),
         "condition_workers": get_condition_workers(),
         "effective_condition_workers": effective_condition_workers(),
@@ -443,38 +332,32 @@ def map_conditions(fn: Callable[[int], object], num_tasks: int) -> list:
 # transforms (always over the last two axes, numpy "backward" norm)
 # ----------------------------------------------------------------------
 def fft2(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """2-D FFT over the last two axes via the selected backend.
+    """2-D FFT over the last two axes (pocketfft).
 
     ``overwrite_x`` lets pocketfft reuse ``x`` as scratch (the caller
-    must own ``x``); the numpy backend ignores it.
+    must own ``x``).
     """
-    if _STATE["backend"] == "scipy":
-        return cast(
-            np.ndarray,
-            _scipy_fft.fft2(x, workers=effective_workers(), overwrite_x=overwrite_x),
-        )
-    return np.fft.fft2(x)
+    return cast(
+        np.ndarray,
+        _scipy_fft.fft2(x, workers=effective_workers(), overwrite_x=overwrite_x),
+    )
 
 
 def ifft2(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """2-D inverse FFT over the last two axes via the selected backend.
+    """2-D inverse FFT over the last two axes (pocketfft).
 
     ``overwrite_x`` lets pocketfft reuse ``x`` as scratch (the caller
-    must own ``x``); the numpy backend ignores it.
+    must own ``x``).
     """
-    if _STATE["backend"] == "scipy":
-        return cast(
-            np.ndarray,
-            _scipy_fft.ifft2(x, workers=effective_workers(), overwrite_x=overwrite_x),
-        )
-    return np.fft.ifft2(x)
+    return cast(
+        np.ndarray,
+        _scipy_fft.ifft2(x, workers=effective_workers(), overwrite_x=overwrite_x),
+    )
 
 
 def fftfreq(n: int, d: float = 1.0) -> np.ndarray:
-    """FFT sample frequencies (identical across backends)."""
-    if _STATE["backend"] == "scipy":
-        return cast(np.ndarray, _scipy_fft.fftfreq(n, d=d))
-    return np.fft.fftfreq(n, d=d)
+    """FFT sample frequencies."""
+    return cast(np.ndarray, _scipy_fft.fftfreq(n, d=d))
 
 
 def freq_reverse(x: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ oracles: fused imaging is once-differentiable.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -69,7 +69,8 @@ class HypergradientContext:
 
     Exposes:
 
-    * ``grad_j`` / ``grad_m`` — direct gradients (numpy copies),
+    * ``grad_j`` / ``grad_m`` — direct gradients (numpy copies; the
+      split path's ``grad_m`` is computed on first read),
     * :meth:`hvp` — exact inner Hessian-vector products
       ``(d^2 L_so / d theta_J^2) @ p``,
     * :meth:`mixed_vjp` — exact mixed products
@@ -171,9 +172,7 @@ class HypergradientContext:
         loss = objective.loss_from_aerial(self._a)
         self.loss_value = float(loss.data)
         (self._ga,) = ad.grad(loss, [self._a], create_graph=True)
-        # 3. grad_m from one streamed mask VJP with upstream g_A.
-        self.grad_m = self._mask_vjp([(self._jn.data, self._ga.data)])
-        # 4. jt_v = J^T v at v = X^T g_A is grad_j, and differentiating
+        # 3. jt_v = J^T v at v = X^T g_A is grad_j, and differentiating
         #    <jt_v, p> gives hess(phi) p (w.r.t. theta_J) and J p (w.r.t.
         #    v) in one backward.
         self._v = ad.Tensor(self._basis_adjoint(self._ga.data), requires_grad=True)
@@ -181,6 +180,14 @@ class HypergradientContext:
             self._jn, [self._tj], grad_output=self._v, create_graph=True
         )
         self.grad_j = self._jt_v.data.copy()
+
+    @cached_property
+    def grad_m(self) -> np.ndarray:
+        """Direct gradient w.r.t. theta_M.  On the split path it is one
+        streamed mask VJP with upstream g_A, run on first read: the
+        reverse sweep's per-iterate contexts (:meth:`at`) never read it.
+        The generic path sets it in ``__init__``."""
+        return self._mask_vjp([(self._jn.data, self._ga.data)])
 
     def at(self, theta_j: np.ndarray) -> "HypergradientContext":
         """This context's oracles at another theta_J (same theta_M and

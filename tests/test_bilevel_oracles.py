@@ -284,6 +284,25 @@ def test_unroll_sweep_matches_taped_unroll(
         )
 
 
+def test_unroll_runs_one_mask_vjp_per_product(cfg, point, monkeypatch):
+    """One BiSMO-UNROLL outer iteration (B=2, T=3) runs T + 1 streamed
+    mask VJPs: the direct ``grad_m`` at theta_T and one per mixed
+    product.  The per-iterate contexts compute no ``grad_m``."""
+    targets, _, _ = point
+    source = annular(SourceGrid.from_config(cfg), cfg.sigma_out, cfg.sigma_in)
+    calls = []
+    mask_vjp = F.incoherent_stack_mask_vjp
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return mask_vjp(*args, **kwargs)
+
+    monkeypatch.setattr(F, "incoherent_stack_mask_vjp", counted)
+    solver = BiSMO(cfg, targets[:2], method="unroll", unroll_steps=3, seed=11)
+    solver.run(source, iterations=1)
+    assert len(calls) == 4
+
+
 @pytest.fixture(scope="module")
 def window_ctx(cfg, point, aberrated_window):
     targets, theta_j, theta_m = point

@@ -1,8 +1,13 @@
-"""Tests for the unified FFT dispatch layer (:mod:`repro.optics.fftlib`):
-backend selection, worker determinism, the inference precision policy,
-and policy plumbing into the imaging fast paths."""
+"""Tests for the FFT dispatch layer (:mod:`repro.optics.fftlib`):
+agreement with ``np.fft``, thread-count determinism, the scoped policy
+override, env-knob validation, and the graph-free imaging fast path."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from repro.optics.engine import incoherent_sum_fast
 @pytest.fixture(autouse=True)
 def _restore_policy():
     """Every test runs against the default policy and restores it."""
-    with fftlib.use(backend="auto", workers=0, precision="double", chunk=16):
+    with fftlib.use(chunk=16, condition_workers=0, budget=0):
         yield
 
 
@@ -24,46 +29,34 @@ def batch(rng) -> np.ndarray:
 
 
 class TestBackends:
-    def test_auto_prefers_scipy_when_available(self):
-        assert fftlib.get_backend() in fftlib.available_backends()
-        if "scipy" in fftlib.available_backends():
-            assert fftlib.get_backend() == "scipy"
+    """fftlib's pocketfft transforms against numpy's reference FFT."""
 
     def test_backends_agree(self, batch):
-        results = {}
-        for name in fftlib.available_backends():
-            with fftlib.use(backend=name):
-                results[name] = (
-                    fftlib.fft2(batch),
-                    fftlib.ifft2(batch.astype(np.complex128)),
-                    fftlib.fftfreq(16, d=0.5),
-                )
-        ref_f, ref_i, ref_q = (
-            np.fft.fft2(batch),
-            np.fft.ifft2(batch),
-            np.fft.fftfreq(16, d=0.5),
+        np.testing.assert_allclose(
+            fftlib.fft2(batch), np.fft.fft2(batch), atol=1e-12
         )
-        for name, (f, i, q) in results.items():
-            np.testing.assert_allclose(f, ref_f, atol=1e-12, err_msg=name)
-            np.testing.assert_allclose(i, ref_i, atol=1e-12, err_msg=name)
-            np.testing.assert_array_equal(q, ref_q, err_msg=name)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            fftlib.set_backend("fftw")
+        np.testing.assert_allclose(
+            fftlib.ifft2(batch.astype(np.complex128)),
+            np.fft.ifft2(batch),
+            atol=1e-12,
+        )
+        np.testing.assert_array_equal(
+            fftlib.fftfreq(16, d=0.5), np.fft.fftfreq(16, d=0.5)
+        )
 
     def test_use_restores_state(self):
         before = fftlib.describe()
-        with fftlib.use(workers=3, precision="single", chunk=4):
-            assert fftlib.get_workers() == 3
-            assert fftlib.get_precision() == "single"
+        with fftlib.use(chunk=4, condition_workers=1, budget=1):
             assert fftlib.get_stream_chunk() == 4
+            assert fftlib.get_condition_workers() == 1
+            assert fftlib.get_worker_budget() == 1
+            assert fftlib.effective_workers() == 1
         assert fftlib.describe() == before
 
     def test_use_restores_on_error(self):
         before = fftlib.describe()
         with pytest.raises(RuntimeError):
-            with fftlib.use(workers=5):
+            with fftlib.use(budget=5):
                 raise RuntimeError("boom")
         assert fftlib.describe() == before
 
@@ -71,46 +64,65 @@ class TestBackends:
 class TestWorkers:
     def test_validation(self):
         with pytest.raises(ValueError):
-            fftlib.set_workers(-1)
-        fftlib.set_workers(0)
+            fftlib.set_worker_budget(-1)
+        with pytest.raises(ValueError):
+            fftlib.set_condition_workers(-1)
+        fftlib.set_worker_budget(0)
         assert fftlib.effective_workers() >= 1
+        fftlib.set_worker_budget(1)
+        assert fftlib.effective_workers() == 1
 
     def test_multiworker_results_bitwise_identical(self, batch):
         """pocketfft threads across independent transforms — no
         cross-thread reductions, so results must be bitwise equal."""
-        with fftlib.use(workers=1):
-            serial = fftlib.fft2(batch)
-        with fftlib.use(workers=4):
-            threaded = fftlib.fft2(batch)
-        np.testing.assert_array_equal(serial, threaded)
+        with fftlib.use(budget=1):
+            assert fftlib.effective_workers() == 1
+            serial = (fftlib.fft2(batch), fftlib.ifft2(batch))
+        with fftlib.use(budget=4):
+            threaded = (fftlib.fft2(batch), fftlib.ifft2(batch))
+        for s, t in zip(serial, threaded):
+            np.testing.assert_array_equal(s, t)
+
+
+ENV_INT_KNOBS = ("REPRO_FFT_CHUNK", "REPRO_COND_WORKERS", "REPRO_WORKER_BUDGET")
+
+
+@pytest.mark.parametrize("var", ENV_INT_KNOBS)
+def test_env_int_error_names_variable(var):
+    """A non-integer knob fails at import with an error naming the
+    variable and the offending value."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "abc"})
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.optics"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert f"ValueError: {var} must be an integer; got 'abc'" in proc.stderr
 
 
 class TestPrecisionPolicy:
-    def test_compute_dtypes(self):
-        assert fftlib.compute_dtypes() == (np.float64, np.complex128)
-        with fftlib.use(precision="single"):
-            assert fftlib.compute_dtypes() == (np.float32, np.complex64)
-        with pytest.raises(ValueError):
-            fftlib.set_precision("half")
+    """The fast path computes in double precision whatever its inputs."""
 
-    def test_incoherent_sum_fast_honors_policy(self, rng):
+    def test_incoherent_sum_fast_zero_weight(self, rng):
+        """Exact-zero weights are pruned without changing the sum."""
         tiles = rng.random((2, 16, 16))
         kernels = rng.standard_normal((4, 16, 16)) * 0.4
         weights = np.array([0.5, 0.0, 0.3, 0.2])  # includes an exact zero
-        ref = incoherent_sum_fast(tiles, kernels, weights, norm=1.0)
-        with fftlib.use(precision="single"):
-            single = incoherent_sum_fast(tiles, kernels, weights, norm=1.0)
-        assert ref.dtype == np.float64 and single.dtype == np.float64
-        np.testing.assert_allclose(single, ref, rtol=2e-4, atol=1e-5)
-        if fftlib.get_backend() == "scipy":
-            # complex64 transforms actually ran -> results differ in the
-            # low bits (np.fft computes in double regardless, documented
-            # best-effort behaviour of the numpy backend).
-            assert np.abs(single - ref).max() > 0
+        out = incoherent_sum_fast(tiles, kernels, weights, norm=1.0)
+        fields = np.fft.ifft2(kernels[None] * np.fft.fft2(tiles)[:, None])
+        ref = np.einsum("s,bsij->bij", weights, np.abs(fields) ** 2)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, ref, atol=1e-12)
+        zero = incoherent_sum_fast(tiles, kernels, np.zeros(4), norm=1.0)
+        np.testing.assert_array_equal(zero, np.zeros_like(tiles))
 
     def test_incoherent_sum_fast_complex_tiles(self, rng):
         """Complex (e.g. phase-shift) tiles keep their imaginary part
-        through the compute-dtype cast."""
+        through the complex128 cast."""
         tiles = rng.random((2, 16, 16)) + 1j * rng.random((2, 16, 16))
         kernels = rng.standard_normal((3, 16, 16)) * 0.4
         weights = np.array([0.6, 0.3, 0.1])
@@ -128,18 +140,28 @@ class TestPrecisionPolicy:
 
 
 class TestAutodiffDispatch:
-    def test_functional_ffts_follow_backend(self, batch):
-        """The differentiable fft2/ifft2 run on whatever fftlib selects."""
+    def test_functional_ffts_follow_backend(self, batch, monkeypatch):
+        """The differentiable fft2/ifft2 dispatch through fftlib."""
         from repro.autodiff import functional as F
 
-        outs = {}
-        for name in fftlib.available_backends():
-            with fftlib.use(backend=name):
-                outs[name] = F.fft2(batch).data
-        for name, value in outs.items():
-            np.testing.assert_allclose(
-                value, np.fft.fft2(batch), atol=1e-12, err_msg=name
-            )
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(fftlib, "fft2", counted(fftlib.fft2))
+        monkeypatch.setattr(fftlib, "ifft2", counted(fftlib.ifft2))
+        np.testing.assert_allclose(
+            F.fft2(batch).data, np.fft.fft2(batch), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            F.ifft2(batch).data, np.fft.ifft2(batch), atol=1e-12
+        )
+        assert calls == ["fft2", "ifft2"]
 
     def test_cache_freq_axes_match_numpy(self):
         from repro.optics import OpticalConfig

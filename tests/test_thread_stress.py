@@ -37,14 +37,7 @@ CONDITIONS = [0.0, 40.0, 80.0]  # nominal (real stack) + two complex corners
 def _fresh_state():
     """Cold cache and default threading policy around every test."""
     cache.clear()
-    with fftlib.use(
-        backend="auto",
-        workers=0,
-        precision="double",
-        chunk=16,
-        condition_workers=0,
-        budget=0,
-    ):
+    with fftlib.use(chunk=16, condition_workers=0, budget=0):
         yield
     cache.clear()
 
@@ -126,7 +119,7 @@ class TestCacheStress:
 class TestBitwiseParity:
     """1 vs N condition workers must agree to the last bit."""
 
-    def _run_case(self, cfg, batch, rng):
+    def _run_case(self, cfg, batch, rng, serial_policy=None, fanned_policy=None):
         stacks = [cache.pupil_stack(cfg, c)[0] for c in CONDITIONS]
         pairs = [cache.conj_pairs(cfg, c) for c in CONDITIONS]
         assert np.isrealobj(stacks[0].data)  # nominal: real stack
@@ -143,10 +136,13 @@ class TestBitwiseParity:
             gm, gw = ad.grad(loss, [mask, w])
             return out.data.copy(), gm.data.copy(), gw.data.copy()
 
-        with fftlib.use(condition_workers=1):
+        with fftlib.use(**(serial_policy or {"condition_workers": 1})):
             serial = evaluate()
-        with fftlib.use(condition_workers=4, budget=4):
-            assert fftlib.effective_condition_workers() == 4
+        fanned_policy = fanned_policy or {"condition_workers": 4, "budget": 4}
+        with fftlib.use(**fanned_policy):
+            assert fftlib.effective_condition_workers() == fanned_policy[
+                "condition_workers"
+            ]
             fanned = evaluate()
         for s, f in zip(serial, fanned):
             assert np.array_equal(s, f)
@@ -154,6 +150,16 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_forward_vjp_bitwise(self, tiny_config, batch, rng):
         self._run_case(tiny_config, batch, rng)
+
+    def test_fft_threads_bitwise(self, tiny_config, rng):
+        """Serial condition axis, 1 vs 4 pocketfft threads per transform."""
+        self._run_case(
+            tiny_config,
+            3,
+            rng,
+            serial_policy={"condition_workers": 1, "budget": 1},
+            fanned_policy={"condition_workers": 1, "budget": 4},
+        )
 
     def test_fast_paths_bitwise(self, tiny_config, tiny_source, tiny_target):
         """Graph-free engine fan-outs match their serial runs exactly."""
